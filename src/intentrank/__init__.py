@@ -38,11 +38,12 @@ from .intent import (
 from .ranker import (
     RankedList,
     RankerConfig,
+    ScoreTable,
     ScoreTrace,
+    build_table,
+    combine,
     explain,
     rank,
-    score_candidate,
-    score_candidate_mixture,
     trigger_stats,
 )
 from .engine import EngineHandle, SearchResult, load_engine

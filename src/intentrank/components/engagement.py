@@ -54,17 +54,25 @@ DEFAULT_FEATURES = (
 )
 
 
+def feature_extractor(name: str) -> Optional[Callable[[SharedSignals], float]]:
+    """The extractor behind a feature name, or None for an unknown name."""
+    if name in FEATURE_EXTRACTORS:
+        return FEATURE_EXTRACTORS[name]
+    if name.startswith(INTENT_FEATURE_PREFIX):
+        intent_id = name[len(INTENT_FEATURE_PREFIX):]
+        return lambda s: s.intents.get(intent_id) if s.intents is not None else 0.0
+    return None
+
+
 def extract_features(
     names: Sequence[str], signals: SharedSignals, warnings: Optional[Counter] = None
 ) -> np.ndarray:
     """Feature vector in declared order; unknown names become 0 with a warning."""
     values = np.zeros(len(names), dtype=np.float64)
     for i, name in enumerate(names):
-        if name in FEATURE_EXTRACTORS:
-            values[i] = FEATURE_EXTRACTORS[name](signals)
-        elif name.startswith(INTENT_FEATURE_PREFIX):
-            intent_id = name[len(INTENT_FEATURE_PREFIX):]
-            values[i] = signals.intents.get(intent_id) if signals.intents is not None else 0.0
+        extractor = feature_extractor(name)
+        if extractor is not None:
+            values[i] = extractor(signals)
         else:
             if warnings is not None:
                 warnings[name] += 1
@@ -123,16 +131,32 @@ def load_model(path: str | Path) -> EngagementModel:
     return EngagementModel.from_record(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def _zero(signals: SharedSignals) -> float:
+    return 0.0
+
+
 class EngagementScorer(Scorer):
-    """Logistic engagement probability as a ranking component."""
+    """Logistic engagement probability as a ranking component.
+
+    The model's feature names are resolved once, here; unknown names are
+    warned about once and read as 0. Scoring reads no mutable state, so one
+    scorer is safe to share across threads.
+    """
 
     def __init__(self, component_id: str = "engagement", model: Optional[EngagementModel] = None):
         super().__init__(component_id)
         self.model = model if model is not None else EngagementModel.zeros(DEFAULT_FEATURES)
-        self.feature_warnings: Counter = Counter()
+        extractors = []
+        for name in self.model.features:
+            extractor = feature_extractor(name)
+            if extractor is None:
+                log.warning("unknown engagement feature %r treated as 0", name)
+                extractor = _zero
+            extractors.append(extractor)
+        self._extractors = tuple(extractors)
 
     def score(self, ctx: QueryContext, doc: Document, signals: SharedSignals) -> float:
-        x = extract_features(self.model.features, signals, self.feature_warnings)
+        x = np.array([extractor(signals) for extractor in self._extractors], dtype=np.float64)
         return self.model.predict(x)
 
 

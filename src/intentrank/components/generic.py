@@ -138,8 +138,7 @@ def language_match_value(user_languages: Sequence[str], doc_languages: Mapping[s
 
 def document_quality(quality: QualitySignals) -> tuple[float, bool]:
     """(mean of available sub-scores, policy_reject pass-through)."""
-    subs = quality.subscores()
-    return (sum(subs) / len(subs) if subs else 0.0), quality.policy_reject
+    return quality.mean, quality.policy_reject
 
 
 class Scorer:

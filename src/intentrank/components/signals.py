@@ -34,7 +34,6 @@ class SharedSignals:
     publisher_entity: Optional[str] = None
     grammar: Optional[SpecialGrammar] = None
     now_ts: int = 0
-    graph_warning: bool = False
 
     def ctr_qd(self) -> float:
         if self.pair_counts.impressions == 0:

@@ -42,9 +42,14 @@ RELATION_LABELS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QualitySignals:
-    """Per-document quality sub-scores, each in [0, 1]."""
+    """Per-document quality sub-scores, each in [0, 1].
+
+    `mean`, the mean of the available sub-scores, is computed once here and
+    read by signals, ranking and the quality component alike. Slots keep
+    one instance per document smaller than an instance dict would.
+    """
 
     kids_friendly: float = 1.0
     authentic: float = 1.0
@@ -52,6 +57,11 @@ class QualitySignals:
     readability: float = 0.5
     video_resolution: Optional[float] = None
     policy_reject: bool = False
+    mean: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        subs = self.subscores()
+        object.__setattr__(self, "mean", sum(subs) / len(subs))
 
     def validate(self, doc_id: str) -> None:
         for name in ("kids_friendly", "authentic", "authoritative", "readability"):

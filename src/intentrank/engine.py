@@ -64,7 +64,17 @@ from .intent.detect import (
 )
 from .intent.patterns import KnowledgeBase
 from .intent.space import IntentDistribution, IntentSpace
-from .ranker import RankedList, RankerConfig, rank, validate_config
+# `rank` is build_table + combine in one call, kept here for callers that
+# re-assemble the search pipeline from this module's names
+from .ranker import (
+    RankedList,
+    RankerConfig,
+    ScoreTable,
+    build_table,
+    combine,
+    rank,
+    validate_config,
+)
 
 log = logging.getLogger(__name__)
 
@@ -85,6 +95,7 @@ class SearchResult:
     ranked: RankedList
     detection: DetectionResult
     candidates: tuple[Candidate, ...]
+    table: ScoreTable  # config-independent: re-rank with ranker.combine, no new search
 
 
 class EngineHandle:
@@ -169,7 +180,6 @@ class EngineHandle:
             publisher_entity=detection.publisher_entity if detection is not None else None,
             grammar=detection.grammar if detection is not None else None,
             now_ts=self.now_ts,
-            graph_warning=not self.corpus.graph.knows(ctx.user.user_id),
         )
 
     def search(
@@ -212,15 +222,10 @@ class EngineHandle:
             doc = self.corpus.documents[cand.doc_id]
             signals = self.build_signals(ctx, tokens, doc, cand.first_pass_score, detection)
             inputs.append((doc, signals))
-        ranked = rank(
-            ctx,
-            inputs,
-            detection.distribution,
-            self.registry,
-            ranker_config,
-            query_id=query_text,
-        )
-        return SearchResult(ranked=ranked, detection=detection, candidates=candidates)
+        table = build_table(ctx, inputs, detection.distribution, self.registry)
+        ranked = combine(table, ranker_config, query_id=query_text)
+        return SearchResult(ranked=ranked, detection=detection, candidates=candidates,
+                            table=table)
 
     def rank_for_record(self, record: QueryRecord, config: Optional[RankerConfig] = None) -> RankedList:
         """Replay one logged query, preserving its suggestion click."""
@@ -232,16 +237,27 @@ class EngineHandle:
     # training support
 
     def training_signals_fn(self):
-        """(QueryRecord, doc_id) -> SharedSignals for engagement training."""
+        """(QueryRecord, doc_id) -> SharedSignals for engagement training.
+
+        The trainer asks for a record's shown documents one after another,
+        so the record's context, tokens and detection are kept from the
+        previous call while the record stays the same.
+        """
+        last_record: Optional[QueryRecord] = None
+        per_record: tuple = ()  # (ctx, tokens, detection) of last_record
 
         def signals_for(record: QueryRecord, doc_id: str) -> Optional[SharedSignals]:
+            nonlocal last_record, per_record
             doc = self.corpus.documents.get(doc_id)
             user = self.corpus.users.get(record.user_id)
             if doc is None or user is None:
                 return None
-            ctx = QueryContext(record.query_text, user, record.suggestion_click, ts=self.now_ts)
-            tokens = tokenize(record.query_text)
-            detection = detect(ctx, self.intent_config)
+            if record is not last_record:
+                ctx = QueryContext(record.query_text, user, record.suggestion_click,
+                                   ts=self.now_ts)
+                last_record = record
+                per_record = (ctx, tokenize(record.query_text), detect(ctx, self.intent_config))
+            ctx, tokens, detection = per_record
             first_pass = self.index.score_doc(tokens, doc_id)
             return self.build_signals(ctx, tokens, doc, first_pass, detection)
 

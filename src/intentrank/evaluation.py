@@ -15,15 +15,59 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import QueryRecord, RelevanceJudgment, social_relations
+from .corpus import QueryRecord, RelevanceJudgment, StructuredSuggestion, social_relations
 from .engine import EngineHandle
 from .errors import IntentRankError, RecordParseError
-from .ranker import RankedList, RankerConfig
+from .ranker import RankedList, RankerConfig, ScoreTable, combine
 from .records import RecordReader, read_records, write_records
 
 log = logging.getLogger(__name__)
 
 MAX_GRADE = 4
+
+#: Resample index draws per chunk in paired_bootstrap_p; bounds one call's
+#: index and gathered arrays at about 4 MB whatever the query count.
+BOOTSTRAP_CHUNK = 1 << 18
+
+
+class TableMemo:
+    """Score tables of one engine, by (query_text, user_id, suggestion).
+
+    A table holds everything about a query's candidates that no RankerConfig
+    changes, so ranking a key under any later config is a `ranker.combine`
+    over cached columns: no detection, retrieval, signals or component
+    scoring. `tune` and `ab_compare` share one memo across every evaluation
+    of a call; a standalone evaluation makes its own. Nothing is kept on the
+    engine, so a serving process does not grow.
+    """
+
+    def __init__(self, engine: EngineHandle) -> None:
+        self.engine = engine
+        self._tables: dict[tuple, ScoreTable] = {}
+
+    def ranked(
+        self,
+        query_text: str,
+        user_id: str,
+        config: Optional[RankerConfig] = None,
+        suggestion: Optional[StructuredSuggestion] = None,
+    ) -> RankedList:
+        key = (query_text, user_id, suggestion)
+        table = self._tables.get(key)
+        if table is None:
+            result = self.engine.search(query_text, user_id, config=config, suggestion=suggestion)
+            self._tables[key] = result.table
+            return result.ranked
+        return combine(table, config if config is not None else self.engine.ranker_config,
+                       query_id=query_text)
+
+
+def _memo_for(engine: EngineHandle, memo: Optional[TableMemo]) -> TableMemo:
+    if memo is None:
+        return TableMemo(engine)
+    if memo.engine is not engine:
+        raise IntentRankError("table memo was built for a different engine")
+    return memo
 
 
 # --------------------------------------------------------------------- #
@@ -260,8 +304,10 @@ def run_bvts(
     suite: Sequence[BVTCase],
     engine: EngineHandle,
     config: Optional[RankerConfig] = None,
+    memo: Optional[TableMemo] = None,
 ) -> BVTReport:
     """Run every case through retrieve+rank; report is sorted by case_id."""
+    memo = _memo_for(engine, memo)
     report = BVTReport()
     for case in sorted(suite, key=lambda c: c.case_id):
         if case.user_id not in engine.corpus.users:
@@ -270,7 +316,7 @@ def run_bvts(
                            detail=f"unknown user_id {case.user_id!r}")
             )
             continue
-        ranked = engine.search(case.query_text, case.user_id, config=config).ranked
+        ranked = memo.ranked(case.query_text, case.user_id, config)
         failure: Optional[tuple[str, str]] = None
         for exp in case.expectations:
             ok, detail = _check_expectation(exp, ranked, engine, case)
@@ -367,12 +413,14 @@ def _ranking_metric(
     config: Optional[RankerConfig],
     fn,
     name: str,
+    memo: Optional[TableMemo],
 ) -> MetricResult:
+    memo = _memo_for(engine, memo)
     grouped = group_judgments(judgments)
     values = []
     excluded = 0
     for (query_text, user_id) in sorted(grouped):
-        ranked = engine.search(query_text, user_id, config=config).ranked
+        ranked = memo.ranked(query_text, user_id, config)
         value = fn(ranked.doc_ids(), grouped[(query_text, user_id)], k)
         if value is None:
             excluded += 1
@@ -390,12 +438,12 @@ def _ranking_metric(
     )
 
 
-def mean_ndcg(engine, judgments, k=10, config=None) -> MetricResult:
-    return _ranking_metric(engine, judgments, k, config, ndcg_at_k, "ndcg")
+def mean_ndcg(engine, judgments, k=10, config=None, memo=None) -> MetricResult:
+    return _ranking_metric(engine, judgments, k, config, ndcg_at_k, "ndcg", memo)
 
 
-def mean_err(engine, judgments, k=10, config=None) -> MetricResult:
-    return _ranking_metric(engine, judgments, k, config, err_at_k, "err")
+def mean_err(engine, judgments, k=10, config=None, memo=None) -> MetricResult:
+    return _ranking_metric(engine, judgments, k, config, err_at_k, "err", memo)
 
 
 def sgcr_replay(
@@ -403,13 +451,15 @@ def sgcr_replay(
     engine: EngineHandle,
     config: Optional[RankerConfig] = None,
     k: int = 10,
+    memo: Optional[TableMemo] = None,
 ) -> MetricResult:
     """Replay the log; an impression is good iff a good-clicked doc reaches top-k."""
     if not log_records:
         raise IntentRankError("sgcr replay needs a nonempty query log")
+    memo = _memo_for(engine, memo)
     per_query = []
     for record in log_records:
-        ranked = engine.rank_for_record(record, config=config)
+        ranked = memo.ranked(record.query_text, record.user_id, config, record.suggestion_click)
         top = set(ranked.doc_ids()[:k])
         per_query.append(1.0 if record.good_clicked & top else 0.0)
     return MetricResult(
@@ -467,16 +517,24 @@ class ABReport:
 def paired_bootstrap_p(
     values_a: Sequence[float], values_b: Sequence[float], n_resamples: int, seed: int
 ) -> float:
-    """Two-sided bootstrap p-value for mean(B - A) != 0."""
+    """Two-sided bootstrap p-value for mean(B - A) != 0.
+
+    Resamples are drawn in row chunks of at most BOOTSTRAP_CHUNK indices.
+    Chunked draws continue one generator stream, so the p-value equals that
+    of drawing all resamples at once.
+    """
     diffs = np.asarray(values_b, dtype=np.float64) - np.asarray(values_a, dtype=np.float64)
-    if len(diffs) == 0:
+    n = len(diffs)
+    if n == 0:
         raise IntentRankError("bootstrap needs at least one paired value")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(diffs), size=(n_resamples, len(diffs)))
-    boot = diffs[idx].mean(axis=1)
-    p_low = float(np.mean(boot <= 0.0))
-    p_high = float(np.mean(boot >= 0.0))
-    return min(1.0, 2.0 * min(p_low, p_high))
+    rows = max(1, BOOTSTRAP_CHUNK // n)
+    low = high = 0
+    for start in range(0, n_resamples, rows):
+        boot = diffs[rng.integers(0, n, size=(min(rows, n_resamples - start), n))].mean(axis=1)
+        low += int(np.count_nonzero(boot <= 0.0))
+        high += int(np.count_nonzero(boot >= 0.0))
+    return min(1.0, 2.0 * min(low / n_resamples, high / n_resamples))
 
 
 def parse_metric_spec(spec: str) -> tuple[str, int]:
@@ -499,20 +557,21 @@ def ab_compare(
     seed: int = 0,
 ) -> ABReport:
     """Paired per-query comparison of two ranking arms over the same assets."""
+    memo = TableMemo(engine)
     report = ABReport()
     for spec in metrics:
         name, k = parse_metric_spec(spec)
         if name == "sgcr":
             if not log_records:
                 raise IntentRankError("sgcr comparison needs a nonempty query log")
-            result_a = sgcr_replay(log_records, engine, config_a, k)
-            result_b = sgcr_replay(log_records, engine, config_b, k)
+            result_a = sgcr_replay(log_records, engine, config_a, k, memo=memo)
+            result_b = sgcr_replay(log_records, engine, config_b, k, memo=memo)
         else:
             if not judgments:
                 raise IntentRankError(f"{name} comparison needs judgments")
             fn = mean_ndcg if name == "ndcg" else mean_err
-            result_a = fn(engine, judgments, k, config_a)
-            result_b = fn(engine, judgments, k, config_b)
+            result_a = fn(engine, judgments, k, config_a, memo=memo)
+            result_b = fn(engine, judgments, k, config_b, memo=memo)
         if len(result_a.per_query) != len(result_b.per_query):
             raise IntentRankError(
                 f"{name}@{k}: arms evaluated different query sets "
@@ -524,6 +583,6 @@ def ab_compare(
                         result_b.value - result_a.value, p)
         )
     if bvt_suite:
-        report.bvt_rate_a = run_bvts(bvt_suite, engine, config_a).pass_rate_by_intent()
-        report.bvt_rate_b = run_bvts(bvt_suite, engine, config_b).pass_rate_by_intent()
+        report.bvt_rate_a = run_bvts(bvt_suite, engine, config_a, memo).pass_rate_by_intent()
+        report.bvt_rate_b = run_bvts(bvt_suite, engine, config_b, memo).pass_rate_by_intent()
     return report

@@ -5,10 +5,15 @@ The final relevance of a document is
     F = sum_c w_c * sigma_c   +   sum_t P(t|q) * w_t * sigma_t
 
 where c ranges over generic components and t over intents whose probability
-clears the trigger threshold. A reference evaluator computes the same score
-in its expanded mixture form, sum_t P(t|q) * (generic sum + w_t * sigma_t);
-the two must agree whenever the threshold is zero, and tests hold the
-implementation to that.
+clears the trigger threshold. The score is linear in the weights and every
+sigma is fixed per query, so ranking is split in two: `build_table` runs the
+components once per query into a config-independent ScoreTable, and
+`combine` applies one RankerConfig to it (gate, weighted sum, sort). Serving
+does both once; tuning and A/B build a table once per distinct query and
+combine it under every config they try. The tests check the split against a
+per-document reference evaluator and against the expanded mixture form
+sum_t P(t|q) * (generic sum + w_t * sigma_t), which must agree whenever the
+threshold is zero.
 
 Every scored document carries a full trace of its weighted contributions,
 which is what makes ranking behavior inspectable after the fact.
@@ -19,8 +24,11 @@ from __future__ import annotations
 import difflib
 import hashlib
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .components.generic import document_quality
 from .components.registry import ComponentRegistry
@@ -185,77 +193,172 @@ def validate_config(registry: ComponentRegistry, config: RankerConfig) -> None:
         )
 
 
-def score_candidate(
-    ctx: QueryContext,
-    doc: Document,
-    signals: SharedSignals,
-    intents: IntentDistribution,
-    registry: ComponentRegistry,
-    config: RankerConfig,
-) -> tuple[float, ScoreTrace]:
-    """Factored scoring: generic sum plus threshold-gated intent terms."""
-    generic_terms = []
-    total = 0.0
-    for component_id in sorted(config.generic_weights):
-        weight = config.generic_weights[component_id]
-        sigma = registry.generic[component_id].score(ctx, doc, signals)
-        contribution = weight * sigma
-        total += contribution
-        generic_terms.append(GenericTerm(component_id, sigma, weight, contribution))
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """Everything about one query's candidates that no RankerConfig changes.
 
-    intent_terms = []
-    for intent_id in sorted(config.intent_weights):
-        weight = config.intent_weights[intent_id]
-        scorer = registry.intent_specific[intent_id]
-        p = intents.get(intent_id)
-        if p < config.trigger_threshold or p == 0.0:
-            intent_terms.append(
-                IntentTerm(intent_id, p, scorer.component_id, None, weight, 0.0, skipped=True)
-            )
-            continue
-        sigma = scorer.score(ctx, doc, signals)
-        contribution = p * weight * sigma
-        total += contribution
-        intent_terms.append(
-            IntentTerm(intent_id, p, scorer.component_id, sigma, weight, contribution)
-        )
-
-    trace = ScoreTrace(
-        doc_id=doc.doc_id,
-        final_score=total,
-        generic_terms=tuple(generic_terms),
-        intent_terms=tuple(intent_terms),
-    )
-    return total, trace
-
-
-def score_candidate_mixture(
-    ctx: QueryContext,
-    doc: Document,
-    signals: SharedSignals,
-    intents: IntentDistribution,
-    registry: ComponentRegistry,
-    config: RankerConfig,
-) -> float:
-    """Reference evaluator in expanded mixture form, with no thresholding.
-
-    Computes sum over every intent in the distribution of P(t|q) times the
-    full generic sum plus that intent's own weighted term. Kept separate
-    from score_candidate so the two can check each other.
+    Rows follow the candidate order. Policy-rejected rows are never scored,
+    so their sigma entries stay 0. Intents with P(t|q) = 0 get no column:
+    no config can trigger them. The others all get one, because the trigger
+    threshold is itself a tunable knob.
     """
-    generic_sum = 0.0
-    for component_id in sorted(config.generic_weights):
-        weight = config.generic_weights[component_id]
-        generic_sum += weight * registry.generic[component_id].score(ctx, doc, signals)
 
-    total = 0.0
-    for intent_id, p in intents.items():
-        specific = 0.0
-        if intent_id in config.intent_weights:
-            scorer = registry.intent_specific[intent_id]
-            specific = config.intent_weights[intent_id] * scorer.score(ctx, doc, signals)
-        total += p * (generic_sum + specific)
-    return total
+    doc_ids: tuple[str, ...]
+    quality: np.ndarray  # mean quality per row, the first tie-break
+    rejected: np.ndarray  # policy-reject mask
+    tie_rank: np.ndarray  # position of each doc_id in sorted order, the last tie-break
+    intents: IntentDistribution
+    generic: Mapping[str, np.ndarray]  # component id -> sigma per row
+    intent: Mapping[str, np.ndarray]  # intent id -> sigma per row, intents with p > 0
+    registry: ComponentRegistry
+
+
+def build_table(
+    ctx: QueryContext,
+    scored_inputs: Sequence[tuple[Document, SharedSignals]],
+    intents: IntentDistribution,
+    registry: ComponentRegistry,
+) -> ScoreTable:
+    """Run each generic component, and each intent component whose P(t|q) > 0,
+    once on every candidate that passes policy."""
+    n = len(scored_inputs)
+    quality = np.zeros(n)
+    rejected = np.zeros(n, dtype=bool)
+    for row, (doc, _) in enumerate(scored_inputs):
+        quality[row], rejected[row] = document_quality(doc.quality)
+    kept = [(row, doc, signals) for row, (doc, signals) in enumerate(scored_inputs)
+            if not rejected[row]]
+
+    def column(scorer) -> np.ndarray:
+        sigma = np.zeros(n)
+        for row, doc, signals in kept:
+            sigma[row] = scorer.score(ctx, doc, signals)
+        return sigma
+
+    doc_ids = tuple(doc.doc_id for doc, _ in scored_inputs)
+    tie_rank = np.empty(n, dtype=np.int64)
+    tie_rank[sorted(range(n), key=doc_ids.__getitem__)] = np.arange(n)
+    return ScoreTable(
+        doc_ids=doc_ids,
+        quality=quality,
+        rejected=rejected,
+        tie_rank=tie_rank,
+        intents=intents,
+        generic={cid: column(scorer) for cid, scorer in registry.generic.items()},
+        intent={
+            intent_id: column(scorer)
+            for intent_id, scorer in registry.intent_specific.items()
+            if intents.get(intent_id) > 0.0
+        },
+        registry=registry,
+    )
+
+
+def _triggered(table: ScoreTable, config: RankerConfig) -> list[str]:
+    """Weighted intents whose probability clears the threshold, sorted."""
+    out = []
+    for intent_id in sorted(config.intent_weights):
+        p = table.intents.get(intent_id)
+        if p >= config.trigger_threshold and p > 0.0:
+            out.append(intent_id)
+    return out
+
+
+def combine(table: ScoreTable, config: RankerConfig, query_id: str = "") -> RankedList:
+    """Gate, weight and sum the table's columns, then sort and truncate.
+
+    Terms are added in a fixed order (sorted generic ids, then sorted
+    intents, each intent term as (p * w) * sigma), the same for every row,
+    so a row's score does not depend on the other candidates. Ties break by
+    document quality (descending) then doc_id so the order is total and
+    reproducible.
+    """
+    validate_config(table.registry, config)
+    total = np.zeros(len(table.doc_ids))
+    for component_id in sorted(config.generic_weights):
+        total += config.generic_weights[component_id] * table.generic[component_id]
+    triggered = _triggered(table, config)
+    for intent_id in triggered:
+        p = table.intents.get(intent_id)
+        total += (p * config.intent_weights[intent_id]) * table.intent[intent_id]
+
+    rows = np.flatnonzero(~table.rejected)
+    rows = rows[np.lexsort((table.tie_rank[rows], -table.quality[rows], -total[rows]))]
+    rows = rows[: config.k_final]
+    items = tuple(
+        RankedItem(table.doc_ids[row], score)
+        for row, score in zip(rows.tolist(), total[rows].tolist())
+    )
+    return RankedList(
+        query_id=query_id,
+        items=items,
+        traces=_Traces(table, config),
+        config_fingerprint=config.fingerprint(),
+        triggered_intents=frozenset(triggered),
+    )
+
+
+class _Traces(Mapping):
+    """doc_id -> ScoreTrace for one table under one config, built on first read.
+
+    Offline evaluation reads only the ranked items, so most lists never pay
+    for their traces.
+    """
+
+    def __init__(self, table: ScoreTable, config: RankerConfig) -> None:
+        self._table = table
+        self._config = config
+        self._traces: Optional[dict[str, ScoreTrace]] = None
+
+    def _built(self) -> dict[str, ScoreTrace]:
+        if self._traces is None:
+            self._traces = _build_traces(self._table, self._config)
+        return self._traces
+
+    def __getitem__(self, doc_id: str) -> ScoreTrace:
+        return self._built()[doc_id]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+
+def _build_traces(table: ScoreTable, config: RankerConfig) -> dict[str, ScoreTrace]:
+    generic = {cid: table.generic[cid].tolist() for cid in sorted(config.generic_weights)}
+    probs = {t: table.intents.get(t) for t in sorted(config.intent_weights)}
+    live = set(_triggered(table, config))
+    sigmas = {intent_id: table.intent[intent_id].tolist() for intent_id in live}
+    traces: dict[str, ScoreTrace] = {}
+    for row, doc_id in enumerate(table.doc_ids):
+        if table.rejected[row]:
+            traces[doc_id] = ScoreTrace(doc_id, 0.0, filtered="policy")
+            continue
+        total = 0.0
+        generic_terms = []
+        for component_id, column in generic.items():
+            weight = config.generic_weights[component_id]
+            contribution = weight * column[row]
+            total += contribution
+            generic_terms.append(GenericTerm(component_id, column[row], weight, contribution))
+        intent_terms = []
+        for intent_id, p in probs.items():
+            weight = config.intent_weights[intent_id]
+            component_id = table.registry.intent_specific[intent_id].component_id
+            if intent_id not in live:
+                intent_terms.append(
+                    IntentTerm(intent_id, p, component_id, None, weight, 0.0, skipped=True)
+                )
+                continue
+            sigma = sigmas[intent_id][row]
+            contribution = p * weight * sigma
+            total += contribution
+            intent_terms.append(
+                IntentTerm(intent_id, p, component_id, sigma, weight, contribution)
+            )
+        traces[doc_id] = ScoreTrace(doc_id, total, tuple(generic_terms), tuple(intent_terms))
+    return traces
 
 
 def rank(
@@ -266,37 +369,8 @@ def rank(
     config: RankerConfig,
     query_id: str = "",
 ) -> RankedList:
-    """Filter policy-rejected docs, score the rest, sort, truncate.
-
-    Ties break by document quality (descending) then doc_id so the order is
-    total and reproducible.
-    """
-    validate_config(registry, config)
-    traces: dict[str, ScoreTrace] = {}
-    scored: list[tuple[float, float, str]] = []  # (score, quality, doc_id)
-    for doc, signals in scored_inputs:
-        quality_mean, rejected = document_quality(doc.quality)
-        if rejected:
-            traces[doc.doc_id] = ScoreTrace(doc.doc_id, 0.0, filtered="policy")
-            continue
-        score, trace = score_candidate(ctx, doc, signals, intents, registry, config)
-        traces[doc.doc_id] = trace
-        scored.append((score, quality_mean, doc.doc_id))
-
-    scored.sort(key=lambda row: (-row[0], -row[1], row[2]))
-    items = tuple(RankedItem(doc_id, score) for score, _, doc_id in scored[: config.k_final])
-    triggered = frozenset(
-        intent_id
-        for intent_id in config.intent_weights
-        if intents.get(intent_id) >= config.trigger_threshold and intents.get(intent_id) > 0.0
-    )
-    return RankedList(
-        query_id=query_id,
-        items=items,
-        traces=traces,
-        config_fingerprint=config.fingerprint(),
-        triggered_intents=triggered,
-    )
+    """Filter policy-rejected docs, score the rest, sort, truncate."""
+    return combine(build_table(ctx, scored_inputs, intents, registry), config, query_id)
 
 
 def explain(ranked: RankedList, doc_id: str) -> str:

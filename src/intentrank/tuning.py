@@ -10,7 +10,9 @@ its own descent sweeps.
 A candidate is rejected outright, whatever its objective, if any intent's
 expectation-test pass rate drops more than epsilon below the starting
 config's rate. Every evaluation is cached by config fingerprint, so the
-search is deterministic and never spends budget twice on one point.
+search is deterministic and never spends budget twice on one point. One
+TableMemo serves the whole search: each distinct query is searched once,
+and every evaluation after the first only re-combines cached score tables.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Mapping, Optional, Sequence
 from .corpus import QueryRecord, RelevanceJudgment
 from .engine import EngineHandle
 from .errors import ConfigurationError, IntentRankError
-from .evaluation import BVTCase, mean_ndcg, run_bvts, sgcr_replay
+from .evaluation import BVTCase, TableMemo, mean_ndcg, run_bvts, sgcr_replay
 from .ranker import RankerConfig
 
 log = logging.getLogger(__name__)
@@ -161,23 +163,32 @@ def objective(
     engine: EngineHandle,
     assets: TuneAssets,
     spec: TuneSpec,
+    memo: Optional[TableMemo] = None,
 ) -> tuple[float, dict[str, float]]:
-    """Composite offline objective plus the per-intent BVT rates behind it."""
+    """Composite offline objective plus the per-intent BVT rates behind it.
+
+    Pass one memo to every call over the same engine so each distinct query
+    is searched once; without one, each call makes its own.
+    """
+    if memo is None:
+        memo = TableMemo(engine)
     value = 0.0
     bvt_rates: dict[str, float] = {}
     if spec.alpha_sgcr > 0:
         if not assets.log_records:
             raise IntentRankError("objective needs a query log (sgcr weight > 0)")
-        value += spec.alpha_sgcr * sgcr_replay(assets.log_records, engine, config, spec.metric_k).value
+        value += spec.alpha_sgcr * sgcr_replay(
+            assets.log_records, engine, config, spec.metric_k, memo=memo).value
     if spec.beta_ndcg > 0:
         if not assets.judgments:
             raise IntentRankError("objective needs judgments (ndcg weight > 0)")
-        value += spec.beta_ndcg * mean_ndcg(engine, assets.judgments, spec.metric_k, config).value
+        value += spec.beta_ndcg * mean_ndcg(
+            engine, assets.judgments, spec.metric_k, config, memo=memo).value
     if spec.gamma_bvt > 0 and not assets.bvt_suite:
         raise IntentRankError("objective needs a BVT suite (bvt weight > 0)")
     if assets.bvt_suite:
         # rates are computed even at gamma 0: the tuner guardrail needs them
-        report = run_bvts(assets.bvt_suite, engine, config)
+        report = run_bvts(assets.bvt_suite, engine, config, memo=memo)
         bvt_rates = report.pass_rate_by_intent()
         value += spec.gamma_bvt * report.pass_rate()
     return value, bvt_rates
@@ -229,6 +240,7 @@ class _Search:
         self.spec = spec
         self.engine = engine
         self.assets = assets
+        self.memo = TableMemo(engine)  # one table per distinct query for the whole search
         self.paths = [path for path, _ in spec.free_params]
         self.grids = {path: grid.values() for path, grid in spec.free_params}
         self.cache: dict[str, tuple[float, bool]] = {}
@@ -254,7 +266,7 @@ class _Search:
         if not self.budget_left():
             return None
         self.evaluations += 1
-        value, bvt_rates = objective(config, self.engine, self.assets, self.spec)
+        value, bvt_rates = objective(config, self.engine, self.assets, self.spec, self.memo)
         if is_initial:
             self.baseline_rates = dict(bvt_rates)
         guardrail_ok = all(

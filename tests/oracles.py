@@ -231,3 +231,102 @@ def central_difference_gradient(f, x, h=1e-6):
         down[i] -= h
         grad[i] = (f(up) - f(down)) / (2 * h)
     return grad
+
+
+# --------------------------------------------------------------------- #
+# score combination: one document at a time, the way the ranker used to
+# score before it split into build_table + combine
+
+
+def score_candidate(ctx, doc, signals, intents, registry, config):
+    """Factored scoring: generic sum plus threshold-gated intent terms."""
+    from intentrank.ranker import GenericTerm, IntentTerm, ScoreTrace
+
+    generic_terms = []
+    total = 0.0
+    for component_id in sorted(config.generic_weights):
+        weight = config.generic_weights[component_id]
+        sigma = registry.generic[component_id].score(ctx, doc, signals)
+        contribution = weight * sigma
+        total += contribution
+        generic_terms.append(GenericTerm(component_id, sigma, weight, contribution))
+
+    intent_terms = []
+    for intent_id in sorted(config.intent_weights):
+        weight = config.intent_weights[intent_id]
+        scorer = registry.intent_specific[intent_id]
+        p = intents.get(intent_id)
+        if p < config.trigger_threshold or p == 0.0:
+            intent_terms.append(
+                IntentTerm(intent_id, p, scorer.component_id, None, weight, 0.0, skipped=True)
+            )
+            continue
+        sigma = scorer.score(ctx, doc, signals)
+        contribution = p * weight * sigma
+        total += contribution
+        intent_terms.append(
+            IntentTerm(intent_id, p, scorer.component_id, sigma, weight, contribution)
+        )
+
+    trace = ScoreTrace(
+        doc_id=doc.doc_id,
+        final_score=total,
+        generic_terms=tuple(generic_terms),
+        intent_terms=tuple(intent_terms),
+    )
+    return total, trace
+
+
+def score_candidate_mixture(ctx, doc, signals, intents, registry, config):
+    """Reference evaluator in expanded mixture form, with no thresholding.
+
+    Computes sum over every intent in the distribution of P(t|q) times the
+    full generic sum plus that intent's own weighted term.
+    """
+    generic_sum = 0.0
+    for component_id in sorted(config.generic_weights):
+        weight = config.generic_weights[component_id]
+        generic_sum += weight * registry.generic[component_id].score(ctx, doc, signals)
+
+    total = 0.0
+    for intent_id, p in intents.items():
+        specific = 0.0
+        if intent_id in config.intent_weights:
+            scorer = registry.intent_specific[intent_id]
+            specific = config.intent_weights[intent_id] * scorer.score(ctx, doc, signals)
+        total += p * (generic_sum + specific)
+    return total
+
+
+def rank_oracle(ctx, scored_inputs, intents, registry, config):
+    """(items as (doc_id, score) pairs, traces by doc_id): score each doc, sort, cut."""
+    from intentrank.ranker import ScoreTrace
+
+    traces = {}
+    scored = []
+    for doc, signals in scored_inputs:
+        subs = doc.quality.subscores()
+        if doc.quality.policy_reject:
+            traces[doc.doc_id] = ScoreTrace(doc.doc_id, 0.0, filtered="policy")
+            continue
+        score, trace = score_candidate(ctx, doc, signals, intents, registry, config)
+        traces[doc.doc_id] = trace
+        scored.append((score, sum(subs) / len(subs), doc.doc_id))
+    scored.sort(key=lambda row: (-row[0], -row[1], row[2]))
+    return [(doc_id, score) for score, _, doc_id in scored[: config.k_final]], traces
+
+
+# --------------------------------------------------------------------- #
+# paired bootstrap with every resample drawn at once
+
+
+def paired_bootstrap_p_oneshot(values_a, values_b, n_resamples, seed):
+    import numpy as np
+
+    diffs = np.asarray(values_b, dtype=np.float64) - np.asarray(values_a, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, len(diffs), size=(n_resamples, len(diffs)))
+    boot = diffs[idx].mean(axis=1)
+    p_low = float(np.mean(boot <= 0.0))
+    p_high = float(np.mean(boot >= 0.0))
+    return min(1.0, 2.0 * min(p_low, p_high))

@@ -19,6 +19,8 @@ from oracles import (
     central_difference_gradient,
     err_oracle,
     ndcg_oracle,
+    score_candidate,
+    score_candidate_mixture,
     segmentations_oracle,
 )
 
@@ -47,7 +49,7 @@ from intentrank.intent.patterns import (
     match_pattern,
 )
 from intentrank.intent.space import IntentSpace, normalize_evidence
-from intentrank.ranker import RankerConfig, score_candidate, score_candidate_mixture
+from intentrank.ranker import RankerConfig
 from intentrank.synth import build_language_conflict, write_fixture
 from intentrank.tuning import GridSpec, TuneAssets, TuneSpec, get_weight, objective, set_weight, tune
 

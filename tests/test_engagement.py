@@ -9,6 +9,7 @@ from oracles import central_difference_gradient
 
 from intentrank.components.engagement import (
     EngagementModel,
+    EngagementScorer,
     TrainParams,
     auc_score,
     extract_features,
@@ -70,6 +71,24 @@ class TestFeatureExtraction:
         signals = SharedSignals(intents=IntentDistribution({"friend": 0.7, "generic": 0.3}))
         out = extract_features(("intent:friend", "intent:news"), signals)
         assert out.tolist() == [0.7, 0.0]
+
+
+class TestEngagementScorer:
+    def test_unknown_feature_warns_once_and_scoring_keeps_state(self, caplog):
+        from intentrank.intent.space import IntentDistribution
+
+        model = EngagementModel(("made_up", "quality", "intent:friend"), (1.0, 2.0, -0.5), 0.1)
+        with caplog.at_level("WARNING", logger="intentrank.components.engagement"):
+            scorer = EngagementScorer(model=model)
+            state = dict(vars(scorer))
+            for quality in (0.0, 0.5, 1.0):
+                signals = SharedSignals(quality_mean=quality,
+                                        intents=IntentDistribution({"friend": 0.4}))
+                assert scorer.score(None, None, signals) == model.predict(
+                    np.array([0.0, quality, 0.4]))
+        assert [r.getMessage() for r in caplog.records] == [
+            "unknown engagement feature 'made_up' treated as 0"]
+        assert vars(scorer) == state
 
 
 class TestGradient:

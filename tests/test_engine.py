@@ -133,3 +133,41 @@ class TestSearchPipeline:
     def test_candidates_bounded_by_retrieval_k(self, demo_engine):
         result = demo_engine.search("taylor swift", "u_alice")
         assert len(result.candidates) <= demo_engine.retrieval.k
+
+
+class TestTrainingSignals:
+    def test_detects_once_per_record(self, replay_dir, monkeypatch):
+        import intentrank.engine as engine_mod
+        from intentrank.components.engagement import (
+            DEFAULT_FEATURES, TrainParams, train_engagement,
+        )
+        from intentrank.corpus import QueryContext
+        from intentrank.index import tokenize
+
+        engine = load_engine(replay_dir / "engine.json")
+        calls = []
+        original = engine_mod.detect
+        def counted(ctx, config):
+            calls.append(ctx.query_text)
+            return original(ctx, config)
+
+        monkeypatch.setattr(engine_mod, "detect", counted)
+        params = TrainParams(iterations=20)
+        model, _ = engine.train_engagement_model(params=params)
+        records = [r for r in engine.query_log
+                   if r.user_id in engine.corpus.users and r.shown_doc_ids]
+        assert len(calls) == len(records) > 0
+
+        def detect_per_doc(record, doc_id):
+            doc = engine.corpus.documents.get(doc_id)
+            user = engine.corpus.users.get(record.user_id)
+            if doc is None or user is None:
+                return None
+            ctx = QueryContext(record.query_text, user, record.suggestion_click, ts=engine.now_ts)
+            tokens = tokenize(record.query_text)
+            return engine.build_signals(ctx, tokens, doc, engine.index.score_doc(tokens, doc_id),
+                                        original(ctx, engine.intent_config))
+
+        reference, _ = train_engagement(engine.query_log, detect_per_doc, DEFAULT_FEATURES, params)
+        assert model == reference
+

@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from oracles import err_oracle, ndcg_oracle
+from oracles import err_oracle, ndcg_oracle, paired_bootstrap_p_oneshot
 
+from intentrank import evaluation
 from intentrank.corpus import QueryRecord
 from intentrank.errors import IntentRankError, RecordParseError
 from intentrank.evaluation import (
@@ -258,6 +259,18 @@ class TestBootstrap:
         p1 = paired_bootstrap_p(a, b, 5000, seed=9)
         p2 = paired_bootstrap_p(a, b, 5000, seed=9)
         assert p1 == p2
+
+    @pytest.mark.parametrize("chunk", [1, 64, 1000, evaluation.BOOTSTRAP_CHUNK])
+    def test_chunked_draws_match_one_shot(self, monkeypatch, chunk):
+        monkeypatch.setattr(evaluation, "BOOTSTRAP_CHUNK", chunk)
+        for seed in range(4):
+            rng = random.Random(seed)
+            for n, resamples in ((1, 37), (7, 1001), (300, 333), (2000, 1001)):
+                # 0/1 outcomes, as sgcr gives, put many resample means exactly at 0
+                a = [float(rng.random() < 0.5) for _ in range(n)]
+                b = [float(rng.random() < 0.55) for _ in range(n)]
+                assert paired_bootstrap_p(a, b, resamples, seed) == \
+                    paired_bootstrap_p_oneshot(a, b, resamples, seed)
 
 
 class TestAbCompare:

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import mk_ctx, mk_doc, mk_user
+from oracles import score_candidate, score_candidate_mixture
 
 from intentrank.components.generic import Scorer
 from intentrank.components.registry import ComponentRegistry
@@ -20,8 +21,6 @@ from intentrank.ranker import (
     explain,
     export_traces,
     rank,
-    score_candidate,
-    score_candidate_mixture,
     trigger_stats,
     validate_config,
 )
