@@ -1,9 +1,10 @@
 """Operator command line: ingest, index, search, explain, evaluate, tune.
 
-Every command takes --config (engine config path), --seed, and --out where
-meaningful; outputs are line-delimited records or plain text and are
-byte-identical across runs for fixed inputs. Exit codes: 0 success,
-1 usage error, 2 data or configuration error, 3 internal error.
+Every command takes --config (engine config path) and --seed, and every
+command but `index` takes --out where meaningful; outputs are
+line-delimited records or plain text and are byte-identical across runs
+for fixed inputs. Exit codes: 0 success, 1 usage error, 2 data or
+configuration error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .corpus import load_corpus, save_corpus
 from .engine import EngineHandle, load_engine
 from .errors import IntentRankError
 from .evaluation import ab_compare, load_bvt_suite, run_bvts, save_bvt_report
-from .index import save_index
 from .ranker import RankerConfig, explain, export_traces
 from .records import write_records
 from .synth import FIXTURE_BUILDERS, write_fixture
@@ -61,8 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="unused; accepted for uniformity")
     p.add_argument("--out", default=None, help="rewrite the corpus canonically here")
 
-    p = sub.add_parser("index", help="build the sharded index and snapshot it")
-    _add_common(p)
+    p = sub.add_parser("index", help="build the sharded index and print its stats")
+    p.add_argument("--config", required=True, help="engine config JSON path")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed where applicable")
 
     p = sub.add_parser("search", help="run one query end to end")
     p.add_argument("query")
@@ -135,9 +136,6 @@ def cmd_index(args) -> int:
     engine = load_engine(args.config)
     print(f"shards {engine.index.num_shards}  docs {engine.index.stats.n_docs}  "
           f"terms {len(engine.index.stats.df)}  avgdl {engine.index.stats.avgdl:.3f}")
-    if args.out:
-        save_index(engine.index, args.out)
-        print(f"snapshot written to {args.out}")
     return EXIT_OK
 
 

@@ -197,7 +197,7 @@ class LanguageMatchScorer(Scorer):
         super().__init__(component_id)
 
     def score(self, ctx, doc, signals):
-        return language_match_value(ctx.user.languages, doc.languages)
+        return signals.language_overlap
 
 
 class DocumentQualityScorer(Scorer):

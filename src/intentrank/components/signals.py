@@ -17,7 +17,6 @@ from ..intent.space import IntentDistribution
 
 @dataclass(frozen=True)
 class SharedSignals:
-    query_tokens: tuple[str, ...] = ()
     first_pass_bm25: float = 0.0
     proximity: float = 0.0
     title_hit_ratio: float = 0.0

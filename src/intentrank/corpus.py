@@ -17,7 +17,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .errors import InvariantError
 from .records import RecordReader, read_records, write_records
@@ -286,6 +286,9 @@ class QueryContext:
     user: UserContext
     suggestion: Optional[StructuredSuggestion] = None
     ts: int = 0
+    # the searcher's neighbourhood, built once per query by whoever holds the
+    # graph; per-query state, so threads serving other queries never share it
+    graph_view: Optional["SearcherView"] = field(default=None, compare=False, repr=False)
 
 
 class SocialGraph:
@@ -327,6 +330,33 @@ class SocialGraph:
     def knows(self, node: str) -> bool:
         return node in self._out or node in self._in
 
+    def searcher_view(self, searcher: str) -> "SearcherView":
+        """The searcher's neighbourhood, for social_relations lookups.
+
+        The view refers to the graph's own neighbour sets rather than
+        copying them; the graph is not modified after load. An unknown
+        searcher gets an empty view and one warning.
+        """
+        if not self.knows(searcher):
+            log.warning("searcher %r has no edges in the social graph", searcher)
+        out = self._out.get(searcher, {})
+        into = self._in.get(searcher, {})
+        friends = out.get("friend", frozenset())
+        friend_edges = [self._out.get(f, {}) for f in friends]
+        return SearcherView(
+            searcher=searcher,
+            friends=friends,
+            friends_of_friends=frozenset().union(
+                *(edges.get("friend", ()) for edges in friend_edges)),
+            engaged=out.get("engaged", frozenset()),
+            friend_engaged=frozenset().union(
+                *(edges.get("engaged", ()) for edges in friend_edges)),
+            follows=out.get("follow", frozenset()),
+            followers=into.get("follow", frozenset()),
+            friend_requests=into.get("pending_friend", frozenset()),
+            pending_joins=out.get("pending_join", frozenset()),
+        )
+
     def edges(self) -> Iterator[tuple[str, str, str]]:
         for src in sorted(self._out):
             for label in sorted(self._out[src]):
@@ -343,6 +373,21 @@ class SocialGraph:
                     raise InvariantError(
                         f"friend edge ({src!r} -> {dst!r}) has no symmetric counterpart"
                     )
+
+
+@dataclass(frozen=True)
+class SearcherView:
+    """One searcher's edges and two-hop friend sets; see `searcher_view`."""
+
+    searcher: str
+    friends: AbstractSet[str]
+    friends_of_friends: AbstractSet[str]  # may include the searcher and direct friends
+    engaged: AbstractSet[str]
+    friend_engaged: AbstractSet[str]  # nodes any friend engaged
+    follows: AbstractSet[str]
+    followers: AbstractSet[str]
+    friend_requests: AbstractSet[str]  # senders of pending friend edges to the searcher
+    pending_joins: AbstractSet[str]
 
 
 EDGE_FIELDS = {"src", "dst", "label"}
@@ -562,41 +607,40 @@ def save_judgments(judgments: Iterable[RelevanceJudgment], path: str | Path) -> 
     return write_records(path, (j.to_record() for j in judgments))
 
 
-def social_relations(graph: SocialGraph, searcher: str, doc: Document) -> set[str]:
-    """Relations between the searcher and a document, as a label set.
+def social_relations(view: SearcherView, doc: Document) -> set[str]:
+    """Relations between the view's searcher and a document, as a label set.
 
     friend_of_friend means a path of exactly two friend edges and is
-    suppressed when a direct friendship exists. An unknown searcher yields
-    an empty graph view (logged, not raised), so only `self` can survive.
+    suppressed when a direct friendship exists. An unknown searcher has an
+    empty view, so only `self` can survive.
     """
-    if not graph.knows(searcher):
-        log.warning("searcher %r has no edges in the social graph", searcher)
-
-    rels: set[str] = set()
+    searcher = view.searcher
     author = doc.author_id
-    if author is not None and author == searcher:
-        rels.add("self")
-
-    searcher_friends = graph.friends(searcher)
-    if author is not None and author != searcher:
-        if author in searcher_friends:
-            rels.add("friend")
-        elif any(author in graph.friends(x) for x in searcher_friends):
-            rels.add("friend_of_friend")
-        if graph.has_edge(author, searcher, "pending_friend"):
-            rels.add("pending_friend")
-
-    if graph.has_edge(searcher, doc.doc_id, "engaged"):
+    doc_id = doc.doc_id
+    rels: set[str] = set()
+    if author is not None:
+        if author == searcher:
+            rels.add("self")
+        else:
+            if author in view.friends:
+                rels.add("friend")
+            elif author in view.friends_of_friends:
+                rels.add("friend_of_friend")
+            if author in view.friend_requests:
+                rels.add("pending_friend")
+            if author in view.followers:
+                rels.add("follower")
+        if author in view.follows:
+            rels.add("followee")
+    if doc_id in view.engaged:
         rels.add("self_engaged")
-    if any(graph.has_edge(f, doc.doc_id, "engaged") for f in searcher_friends):
+    if doc_id in view.friend_engaged:
         rels.add("friend_engaged")
-
-    targets = {doc.doc_id} | ({author} if author is not None else set())
-    if any(graph.has_edge(searcher, t, "follow") for t in targets):
+    if doc_id in view.follows:
         rels.add("followee")
-    if any(graph.has_edge(t, searcher, "follow") for t in targets if t != searcher):
+    if doc_id != searcher and doc_id in view.followers:
         rels.add("follower")
-    if graph.has_edge(searcher, doc.doc_id, "pending_join"):
+    if doc_id in view.pending_joins:
         rels.add("pending_joining")
     return rels
 

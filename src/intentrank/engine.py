@@ -143,7 +143,7 @@ class EngineHandle:
         if user is None:
             raise IntentRankError(f"unknown user_id {user_id!r}")
         return QueryContext(query_text=query_text, user=user, suggestion=suggestion,
-                            ts=self.now_ts)
+                            ts=self.now_ts, graph_view=self.corpus.graph.searcher_view(user_id))
 
     def build_signals(
         self,
@@ -156,14 +156,18 @@ class EngineHandle:
         positions = {
             term: self.index.positions(term, doc.doc_id) for term in set(query_tokens)
         }
-        relations = frozenset(social_relations(self.corpus.graph, ctx.user.user_id, doc))
+        view = ctx.graph_view
+        if view is None:
+            # A context made without context_for: build the view here, which
+            # costs one view per candidate rather than one per query.
+            view = self.corpus.graph.searcher_view(ctx.user.user_id)
+        relations = frozenset(social_relations(view, doc))
         distance = None
         if ctx.user.location is not None and doc.location is not None:
             distance = haversine_km(ctx.user.location, doc.location)
         pair = self.engagement_table.get(ctx.query_text, doc.doc_id)
         quality_mean, _ = document_quality(doc.quality)
         return SharedSignals(
-            query_tokens=tuple(query_tokens),
             first_pass_bm25=first_pass,
             proximity=proximity_score(query_tokens, positions),
             title_hit_ratio=title_hit_ratio(query_tokens, tokenize(doc.title)),
@@ -253,8 +257,8 @@ class EngineHandle:
             if doc is None or user is None:
                 return None
             if record is not last_record:
-                ctx = QueryContext(record.query_text, user, record.suggestion_click,
-                                   ts=self.now_ts)
+                ctx = self.context_for(record.query_text, record.user_id,
+                                       record.suggestion_click)
                 last_record = record
                 per_record = (ctx, tokenize(record.query_text), detect(ctx, self.intent_config))
             ctx, tokens, detection = per_record

@@ -192,7 +192,7 @@ def _check_expectation(
         if not ids:
             return False, "result list is empty"
         doc = engine.corpus.documents[ids[0]]
-        relations = social_relations(engine.corpus.graph, case.user_id, doc)
+        relations = social_relations(engine.corpus.graph.searcher_view(case.user_id), doc)
         for key, value in exp.predicate:
             if key == "type" and doc.doc_type != value:
                 return False, f"top1 {doc.doc_id} has type {doc.doc_type}, wanted {value}"

@@ -6,25 +6,26 @@ count can never change a score. Shard results flow through a two-tier
 merge (rank aggregators, then a top aggregator) simulated in-process; the
 merge is a deterministic reduction over (score desc, doc_id asc).
 
-Token positions are kept in the postings so the term-proximity feature can
-be computed without re-reading raw text.
+The postings are stored column-wise (see `ShardedIndex`), so one query
+scores every matching document with one numpy pass per query term. Token
+positions are kept in the postings so the term-proximity feature can be
+computed without re-reading raw text.
 """
 
 from __future__ import annotations
 
-import json
+import bisect
 import math
 import re
 import zlib
-from dataclasses import dataclass, field
-from pathlib import Path
+from array import array
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .corpus import Corpus, Document
-from .errors import ConfigurationError, RecordParseError
+import numpy as np
 
-INDEX_FORMAT = "intentrank-index"
-INDEX_VERSION = 1
+from .corpus import Corpus
+from .errors import ConfigurationError
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -37,46 +38,6 @@ def tokenize(text: str) -> list[str]:
 def shard_of(doc_id: str, num_shards: int) -> int:
     # crc32 rather than hash(): stable across processes and runs
     return zlib.crc32(doc_id.encode("utf-8")) % num_shards
-
-
-@dataclass(frozen=True)
-class Posting:
-    doc_id: str
-    tf: int
-    in_title: bool
-    in_body: bool
-    positions: tuple[int, ...]
-
-
-@dataclass
-class Shard:
-    """Postings and document lengths for one slice of the corpus."""
-
-    postings: dict[str, list[Posting]] = field(default_factory=dict)
-    doc_lengths: dict[str, int] = field(default_factory=dict)
-
-    def add_document(self, doc_id: str, title_tokens: Sequence[str], body_tokens: Sequence[str]) -> None:
-        stream = list(title_tokens) + list(body_tokens)
-        self.doc_lengths[doc_id] = len(stream)
-        by_term: dict[str, list[int]] = {}
-        for pos, term in enumerate(stream):
-            by_term.setdefault(term, []).append(pos)
-        title_set = set(title_tokens)
-        body_set = set(body_tokens)
-        for term, positions in by_term.items():
-            self.postings.setdefault(term, []).append(
-                Posting(
-                    doc_id=doc_id,
-                    tf=len(positions),
-                    in_title=term in title_set,
-                    in_body=term in body_set,
-                    positions=tuple(positions),
-                )
-            )
-
-    def finalize(self) -> None:
-        for plist in self.postings.values():
-            plist.sort(key=lambda p: p.doc_id)
 
 
 @dataclass(frozen=True)
@@ -125,50 +86,83 @@ def first_pass_score(
 
 
 class ShardedIndex:
-    """Immutable sharded inverted index over a corpus."""
+    """Immutable sharded inverted index over a corpus, stored column-wise.
 
-    def __init__(self, num_shards: int, shards: list[Shard], stats: GlobalStats,
+    Row `r` is the r-th document in ascending doc_id order, so ordering by
+    row is ordering by doc_id. Per row: `shard_ids` (the shard the document
+    hashes to), `doc_lengths` and `norms`, the BM25 length normalisation
+    `k1 * (1 - b + b * len / avgdl)`. A term's postings are
+    `doc_rows[lo:hi]` (ascending) and `tfs[lo:hi]`, with
+    `(lo, hi) = term_spans[term]`; posting `j` has its token positions at
+    `flat_positions[pos_offsets[j]:pos_offsets[j + 1]]`.
+    """
+
+    def __init__(self, num_shards: int, doc_ids: Sequence[str], shard_ids: np.ndarray,
+                 doc_lengths: np.ndarray, term_spans: dict[str, tuple[int, int]],
+                 doc_rows: np.ndarray, tfs: np.ndarray, pos_offsets: np.ndarray,
+                 flat_positions: np.ndarray, stats: GlobalStats,
                  k1: float = 1.2, b: float = 0.75) -> None:
         self.num_shards = num_shards
-        self.shards = shards
+        self.doc_ids = tuple(doc_ids)
+        self.shard_ids = shard_ids
+        self.doc_lengths = doc_lengths
+        self.term_spans = term_spans
+        self.doc_rows = doc_rows
+        self.tfs = tfs
+        self.pos_offsets = pos_offsets
+        self.flat_positions = flat_positions
         self.stats = stats
         self.k1 = k1
         self.b = b
-        self._shard_by_doc: dict[str, int] = {}
-        for i, shard in enumerate(shards):
-            for doc_id in shard.doc_lengths:
-                self._shard_by_doc[doc_id] = i
+        self._row_of = {doc_id: row for row, doc_id in enumerate(self.doc_ids)}
+        # views of the same buffers for one-off lookups: indexing a memoryview
+        # yields a Python int, several times cheaper than a numpy scalar
+        self._rows_view = memoryview(doc_rows)
+        self._offsets_view = memoryview(pos_offsets)
+        self._positions_view = memoryview(flat_positions)
+        if stats.avgdl > 0:
+            # same operations, in the same order, as first_pass_score's norm
+            self.norms = k1 * (1.0 - b + b * doc_lengths / stats.avgdl)
+        else:
+            self.norms = np.zeros(len(self.doc_ids))
 
     def doc_count(self) -> int:
         return self.stats.n_docs
 
     def has_doc(self, doc_id: str) -> bool:
-        return doc_id in self._shard_by_doc
+        return doc_id in self._row_of
 
     def doc_length(self, doc_id: str) -> int:
-        return self.shards[self._shard_by_doc[doc_id]].doc_lengths[doc_id]
+        return int(self.doc_lengths[self._row_of[doc_id]])
+
+    def _posting(self, term: str, doc_id: str) -> Optional[int]:
+        """Index of the (term, doc) posting, by binary search of the term's rows.
+
+        `bisect` rather than `searchsorted`: for one lookup, numpy's call
+        overhead costs more than the search.
+        """
+        span = self.term_spans.get(term)
+        row = self._row_of.get(doc_id)
+        if span is None or row is None:
+            return None
+        lo, hi = span
+        j = bisect.bisect_left(self._rows_view, row, lo, hi)
+        return j if j < hi and self._rows_view[j] == row else None
 
     def positions(self, term: str, doc_id: str) -> tuple[int, ...]:
         """Positions of `term` in the document's title+body token stream."""
-        shard_idx = self._shard_by_doc.get(doc_id)
-        if shard_idx is None:
+        j = self._posting(term, doc_id)
+        if j is None:
             return ()
-        for posting in self.shards[shard_idx].postings.get(term, ()):
-            if posting.doc_id == doc_id:
-                return posting.positions
-        return ()
+        offsets = self._offsets_view
+        return tuple(self._positions_view[offsets[j]:offsets[j + 1]].tolist())
 
     def term_frequencies(self, doc_id: str, terms: Iterable[str]) -> dict[str, int]:
-        shard_idx = self._shard_by_doc.get(doc_id)
-        if shard_idx is None:
-            return {}
-        shard = self.shards[shard_idx]
         out = {}
         for term in set(terms):
-            for posting in shard.postings.get(term, ()):
-                if posting.doc_id == doc_id:
-                    out[term] = posting.tf
-                    break
+            j = self._posting(term, doc_id)
+            if j is not None:
+                out[term] = int(self.tfs[j])
         return out
 
     def score_doc(self, query_tokens: Sequence[str], doc_id: str) -> float:
@@ -178,6 +172,24 @@ class ShardedIndex:
         tfs = self.term_frequencies(doc_id, query_tokens)
         return first_pass_score(query_tokens, tfs, self.doc_length(doc_id), self.stats,
                                 self.k1, self.b)
+
+    def scores(self, query_tokens: Sequence[str]) -> np.ndarray:
+        """First-pass score of every row; 0.0 exactly where no query term occurs.
+
+        Terms are added in sorted order, each as first_pass_score writes
+        it, so every score equals first_pass_score's to the last bit.
+        """
+        scores = np.zeros(len(self.doc_ids))
+        for term in sorted(set(query_tokens)):
+            span = self.term_spans.get(term)
+            if span is None:
+                continue
+            lo, hi = span
+            rows, tf = self.doc_rows[lo:hi], self.tfs[lo:hi]
+            # rows are distinct within a term, so the fancy-index add is exact
+            scores[rows] += (idf(self.stats.n_docs, self.stats.df[term]) * tf * (self.k1 + 1.0)
+                             / (tf + self.norms[rows]))
+        return scores
 
 
 def build_index(
@@ -190,38 +202,61 @@ def build_index(
     """Tokenize and shard the corpus; global stats cover every document."""
     if num_shards < 1:
         raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
-    shards = [Shard() for _ in range(num_shards)]
-    df: dict[str, int] = {}
-    total_len = 0
-    for doc_id in sorted(corpus.documents):
+    if k1 <= 0:
+        raise ConfigurationError(f"k1 must be positive, got {k1}")
+    if not 0.0 <= b <= 1.0:
+        raise ConfigurationError(f"b must be within [0,1], got {b}")
+    doc_ids = sorted(corpus.documents)
+    term_ids: dict[str, int] = {}
+    tokens = array("i")  # term id of every token, documents in row order
+    lengths = np.zeros(len(doc_ids), dtype=np.int64)
+    for row, doc_id in enumerate(doc_ids):
         doc = corpus.documents[doc_id]
-        title_tokens = tokenize(doc.title) if "title" in fields else []
-        body_tokens = tokenize(doc.body) if "body" in fields else []
-        shards[shard_of(doc_id, num_shards)].add_document(doc_id, title_tokens, body_tokens)
-        total_len += len(title_tokens) + len(body_tokens)
-        for term in set(title_tokens) | set(body_tokens):
-            df[term] = df.get(term, 0) + 1
-    for shard in shards:
-        shard.finalize()
-    n = len(corpus.documents)
-    stats = GlobalStats(n_docs=n, df=df, avgdl=(total_len / n) if n else 0.0)
-    return ShardedIndex(num_shards, shards, stats, k1=k1, b=b)
+        stream = ((tokenize(doc.title) if "title" in fields else [])
+                  + (tokenize(doc.body) if "body" in fields else []))
+        lengths[row] = len(stream)
+        tokens.extend([term_ids.setdefault(term, len(term_ids)) for term in stream])
+
+    tok = np.frombuffer(tokens, dtype=np.int32)
+    tok_row = np.repeat(np.arange(len(doc_ids), dtype=np.int32), lengths)
+    doc_start = np.cumsum(lengths) - lengths
+    tok_pos = np.arange(len(tok), dtype=np.int64) - np.repeat(doc_start, lengths)
+    # a stable sort by term keeps each term's tokens in (row, position) order
+    order = np.argsort(tok, kind="stable")
+    tok, tok_row, tok_pos = tok[order], tok_row[order], tok_pos[order]
+    new_posting = np.ones(len(tok), dtype=bool)
+    new_posting[1:] = (tok[1:] != tok[:-1]) | (tok_row[1:] != tok_row[:-1])
+    starts = np.flatnonzero(new_posting)
+    pos_offsets = np.append(starts, len(tok))
+    term_offsets = np.searchsorted(tok[starts], np.arange(len(term_ids) + 1)).tolist()
+    term_spans = {term: (term_offsets[t], term_offsets[t + 1]) for term, t in term_ids.items()}
+
+    n = len(doc_ids)
+    total_len = int(lengths.sum())
+    stats = GlobalStats(n_docs=n, df={term: hi - lo for term, (lo, hi) in term_spans.items()},
+                        avgdl=(total_len / n) if n else 0.0)
+    shard_ids = np.array([shard_of(doc_id, num_shards) for doc_id in doc_ids], dtype=np.int32)
+    return ShardedIndex(num_shards, doc_ids, shard_ids, lengths, term_spans,
+                        doc_rows=tok_row[starts], tfs=np.diff(pos_offsets).astype(np.int32),
+                        pos_offsets=pos_offsets, flat_positions=tok_pos.astype(np.int32),
+                        stats=stats, k1=k1, b=b)
 
 
-def _shard_top(shard: Shard, query_tokens: Sequence[str], stats: GlobalStats,
-               limit: int, k1: float, b: float) -> list[Candidate]:
-    """One index node: score local postings with global stats, keep top `limit`."""
-    terms = sorted(set(query_tokens))
-    tf_by_doc: dict[str, dict[str, int]] = {}
-    for term in terms:
-        for posting in shard.postings.get(term, ()):
-            tf_by_doc.setdefault(posting.doc_id, {})[term] = posting.tf
-    scored = [
-        Candidate(doc_id, first_pass_score(terms, tfs, shard.doc_lengths[doc_id], stats, k1, b))
-        for doc_id, tfs in tf_by_doc.items()
-    ]
-    scored.sort(key=lambda c: (-c.first_pass_score, c.doc_id))
-    return scored[:limit]
+def _top(index: ShardedIndex, rows: np.ndarray, scores: np.ndarray,
+         limit: int) -> list[Candidate]:
+    """One index node: its `limit` best rows by (score desc, doc_id asc).
+
+    `rows` must be ascending. Rows tied with the limit-th score all survive
+    the partition, so the stable sort settles ties by doc_id.
+    """
+    values = scores[rows]
+    if len(values) > limit:
+        cut = np.partition(values, len(values) - limit)[len(values) - limit]
+        keep = values >= cut
+        rows, values = rows[keep], values[keep]
+    order = np.argsort(-values, kind="stable")[:limit]
+    return [Candidate(index.doc_ids[row], score)
+            for row, score in zip(rows[order].tolist(), values[order].tolist())]
 
 
 def _merge(lists: Iterable[list[Candidate]], limit: int) -> list[Candidate]:
@@ -249,6 +284,8 @@ def retrieve(
         raise ConfigurationError(f"k must be >= 1, got {k}")
     if per_shard_k is None:
         per_shard_k = k
+    if per_shard_k < 1:
+        raise ConfigurationError(f"per_shard_k must be >= 1, got {per_shard_k}")
     if per_shard_k < k and enforce_per_shard_k:
         raise ConfigurationError(
             f"per_shard_k={per_shard_k} < k={k} can lose results; pass "
@@ -257,10 +294,13 @@ def retrieve(
     if not query_tokens:
         return []
 
-    shard_tops = [
-        _shard_top(shard, query_tokens, index.stats, per_shard_k, index.k1, index.b)
-        for shard in index.shards
-    ]
+    # one corpus-wide scoring pass; every term contribution is positive, so
+    # the nonzero rows are exactly the documents that match a query term
+    scores = index.scores(query_tokens)
+    rows = np.flatnonzero(scores)
+    shard = index.shard_ids[rows]
+    shard_tops = [_top(index, rows[shard == s], scores, per_shard_k)
+                  for s in range(index.num_shards)]
     # Two-tier merge: shards feed rank aggregators round-robin, whose merged
     # tops feed the top aggregator. Grouping never changes the result because
     # the reduction is associative under the (score, doc_id) order.
@@ -270,65 +310,3 @@ def retrieve(
         groups[i % num_aggs].append(top)
     aggregator_tops = [_merge(group, per_shard_k) for group in groups if group]
     return _merge(aggregator_tops, k)
-
-
-def save_index(index: ShardedIndex, path: str | Path) -> None:
-    """Versioned line-delimited snapshot; loading a mismatch fails loudly."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        header = {
-            "format": INDEX_FORMAT,
-            "version": INDEX_VERSION,
-            "num_shards": index.num_shards,
-            "k1": index.k1,
-            "b": index.b,
-            "n_docs": index.stats.n_docs,
-            "avgdl": index.stats.avgdl,
-        }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.write(json.dumps({"df": dict(sorted(index.stats.df.items()))}, sort_keys=True) + "\n")
-        for shard_idx, shard in enumerate(index.shards):
-            for term in sorted(shard.postings):
-                rec = {
-                    "shard": shard_idx,
-                    "term": term,
-                    "postings": [
-                        [p.doc_id, p.tf, int(p.in_title), int(p.in_body), list(p.positions)]
-                        for p in shard.postings[term]
-                    ],
-                }
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            rec = {"shard": shard_idx, "doc_lengths": dict(sorted(shard.doc_lengths.items()))}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def load_index(path: str | Path) -> ShardedIndex:
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise RecordParseError(str(path), 1, "empty index snapshot")
-    header = json.loads(lines[0])
-    if header.get("format") != INDEX_FORMAT:
-        raise RecordParseError(str(path), 1, f"not an index snapshot: {header.get('format')!r}")
-    if header.get("version") != INDEX_VERSION:
-        raise RecordParseError(
-            str(path), 1,
-            f"unsupported index version {header.get('version')!r} "
-            f"(expected {INDEX_VERSION})",
-        )
-    df = json.loads(lines[1])["df"]
-    shards = [Shard() for _ in range(header["num_shards"])]
-    for line_no, line in enumerate(lines[2:], start=3):
-        rec = json.loads(line)
-        shard = shards[rec["shard"]]
-        if "doc_lengths" in rec:
-            shard.doc_lengths.update(rec["doc_lengths"])
-        else:
-            shard.postings[rec["term"]] = [
-                Posting(doc_id, tf, bool(t), bool(bd), tuple(pos))
-                for doc_id, tf, t, bd, pos in rec["postings"]
-            ]
-    stats = GlobalStats(n_docs=header["n_docs"], df=df, avgdl=header["avgdl"])
-    return ShardedIndex(header["num_shards"], shards, stats, k1=header["k1"], b=header["b"])

@@ -26,6 +26,7 @@ import hashlib
 import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -42,12 +43,25 @@ DEFAULT_TRIGGER_THRESHOLD = 0.05
 
 @dataclass(frozen=True)
 class RankerConfig:
-    """Weights and knobs that define one ranking arm."""
+    """Weights and knobs that define one ranking arm.
 
-    generic_weights: dict = field(default_factory=dict)
-    intent_weights: dict = field(default_factory=dict)
+    The weight maps are stored as read-only copies, so the fingerprint
+    computed at construction always describes the weights the config holds.
+    """
+
+    generic_weights: Mapping[str, float] = field(default_factory=dict)
+    intent_weights: Mapping[str, float] = field(default_factory=dict)
     trigger_threshold: float = DEFAULT_TRIGGER_THRESHOLD
     k_final: int = 10
+    _fingerprint: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name in ("generic_weights", "intent_weights"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        # computed once: combine stamps every ranked list with it
+        canon = json.dumps(self.to_record(), sort_keys=True)
+        object.__setattr__(self, "_fingerprint",
+                           hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12])
 
     def validate(self) -> None:
         for name, weights in (("generic", self.generic_weights), ("intent", self.intent_weights)):
@@ -62,16 +76,7 @@ class RankerConfig:
             raise ConfigurationError(f"k_final must be >= 1, got {self.k_final}")
 
     def fingerprint(self) -> str:
-        canon = json.dumps(
-            {
-                "generic_weights": dict(sorted(self.generic_weights.items())),
-                "intent_weights": dict(sorted(self.intent_weights.items())),
-                "trigger_threshold": self.trigger_threshold,
-                "k_final": self.k_final,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+        return self._fingerprint
 
     def replace(self, **kwargs) -> "RankerConfig":
         data = {

@@ -330,3 +330,140 @@ def paired_bootstrap_p_oneshot(values_a, values_b, n_resamples, seed):
     p_low = float(np.mean(boot <= 0.0))
     p_high = float(np.mean(boot >= 0.0))
     return min(1.0, 2.0 * min(p_low, p_high))
+
+
+# --------------------------------------------------------------------- #
+# the dict-of-postings index and per-candidate graph walk that the
+# columnar index and the searcher view replaced
+
+
+class DictIndexOracle:
+    """Per shard, term -> [(doc_id, tf, positions)] sorted by doc_id.
+
+    Each shard scores its postings one document at a time with BM25 over
+    global statistics, keeps its top `per_shard_k`, and the lists meet in
+    the same two-tier merge as the package's.
+    """
+
+    def __init__(self, documents, num_shards=1, k1=1.2, b=0.75):
+        import zlib
+
+        self.num_shards, self.k1, self.b = num_shards, k1, b
+        self.postings = [{} for _ in range(num_shards)]
+        self.doc_lengths = [{} for _ in range(num_shards)]
+        self.shard_by_doc = {}
+        self.df = {}
+        total_len = 0
+        for doc_id in sorted(documents):
+            doc = documents[doc_id]
+            stream = _tok(doc.title) + _tok(doc.body)
+            shard = zlib.crc32(doc_id.encode("utf-8")) % num_shards
+            self.shard_by_doc[doc_id] = shard
+            self.doc_lengths[shard][doc_id] = len(stream)
+            total_len += len(stream)
+            by_term = {}
+            for pos, term in enumerate(stream):
+                by_term.setdefault(term, []).append(pos)
+            for term, positions in by_term.items():
+                self.postings[shard].setdefault(term, []).append(
+                    (doc_id, len(positions), tuple(positions)))
+                self.df[term] = self.df.get(term, 0) + 1
+        for postings in self.postings:
+            for plist in postings.values():
+                plist.sort()
+        self.n_docs = len(documents)
+        self.avgdl = total_len / self.n_docs if self.n_docs else 0.0
+
+    def _score(self, terms, tfs, doc_length):
+        if self.avgdl <= 0:
+            return 0.0
+        k1, b = self.k1, self.b
+        norm = k1 * (1.0 - b + b * doc_length / self.avgdl)
+        score = 0.0
+        for term in terms:
+            tf = tfs.get(term, 0)
+            if tf == 0:
+                continue
+            df = self.df.get(term, 0)
+            idf = math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
+            score += idf * tf * (k1 + 1.0) / (tf + norm)
+        return score
+
+    def _shard_top(self, shard, query_tokens, limit):
+        terms = sorted(set(query_tokens))
+        tf_by_doc = {}
+        for term in terms:
+            for doc_id, tf, _ in self.postings[shard].get(term, ()):
+                tf_by_doc.setdefault(doc_id, {})[term] = tf
+        scored = [(doc_id, self._score(terms, tfs, self.doc_lengths[shard][doc_id]))
+                  for doc_id, tfs in tf_by_doc.items()]
+        scored.sort(key=lambda c: (-c[1], c[0]))
+        return scored[:limit]
+
+    def retrieve(self, query_tokens, k, per_shard_k):
+        """[(doc_id, score)] in (score desc, doc_id asc) order."""
+        if not query_tokens:
+            return []
+
+        def merge(lists, limit):
+            merged = [c for lst in lists for c in lst]
+            merged.sort(key=lambda c: (-c[1], c[0]))
+            return merged[:limit]
+
+        tops = [self._shard_top(s, query_tokens, per_shard_k) for s in range(self.num_shards)]
+        num_aggs = max(1, math.isqrt(self.num_shards))
+        groups = [[] for _ in range(num_aggs)]
+        for i, top in enumerate(tops):
+            groups[i % num_aggs].append(top)
+        return merge([merge(group, per_shard_k) for group in groups if group], k)
+
+    def _posting(self, term, doc_id):
+        shard = self.shard_by_doc.get(doc_id)
+        if shard is None:
+            return None
+        for posting in self.postings[shard].get(term, ()):  # linear scan
+            if posting[0] == doc_id:
+                return posting
+        return None
+
+    def positions(self, term, doc_id):
+        posting = self._posting(term, doc_id)
+        return posting[2] if posting else ()
+
+    def term_frequencies(self, doc_id, terms):
+        return {t: p[1] for t in set(terms) if (p := self._posting(t, doc_id))}
+
+    def score_doc(self, query_tokens, doc_id):
+        shard = self.shard_by_doc.get(doc_id)
+        if shard is None:
+            return 0.0
+        return self._score(sorted(set(query_tokens)), self.term_frequencies(doc_id, query_tokens),
+                           self.doc_lengths[shard][doc_id])
+
+
+def social_relations_walk(graph, searcher, doc):
+    """Relations found by walking the SocialGraph for one document."""
+    rels = set()
+    author = doc.author_id
+    if author is not None and author == searcher:
+        rels.add("self")
+    searcher_friends = graph.friends(searcher)
+    if author is not None and author != searcher:
+        if author in searcher_friends:
+            rels.add("friend")
+        elif any(author in graph.friends(x) for x in searcher_friends):
+            rels.add("friend_of_friend")
+        if graph.has_edge(author, searcher, "pending_friend"):
+            rels.add("pending_friend")
+    if graph.has_edge(searcher, doc.doc_id, "engaged"):
+        rels.add("self_engaged")
+    if any(graph.has_edge(f, doc.doc_id, "engaged") for f in searcher_friends):
+        rels.add("friend_engaged")
+    targets = {doc.doc_id} | ({author} if author is not None else set())
+    if any(graph.has_edge(searcher, t, "follow") for t in targets):
+        rels.add("followee")
+    if any(graph.has_edge(t, searcher, "follow") for t in targets if t != searcher):
+        rels.add("follower")
+    if graph.has_edge(searcher, doc.doc_id, "pending_join"):
+        rels.add("pending_joining")
+    return rels

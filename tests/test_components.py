@@ -263,7 +263,6 @@ class TestIntentSpecific:
 
 def random_signals(rng):
     return SharedSignals(
-        query_tokens=("a", "b"),
         first_pass_bm25=rng.uniform(0, 40),
         proximity=rng.uniform(0, 1),
         title_hit_ratio=rng.uniform(0, 1),

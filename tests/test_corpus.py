@@ -6,9 +6,11 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import mk_corpus, mk_doc, mk_user
-from oracles import relations_oracle
+from oracles import relations_oracle, social_relations_walk
 
 from intentrank.corpus import (
     Document,
@@ -25,6 +27,7 @@ from intentrank.corpus import (
     save_corpus,
     social_relations,
 )
+from intentrank.engine import load_engine
 from intentrank.errors import InvariantError, RecordParseError
 
 
@@ -172,7 +175,7 @@ class TestSocialRelations:
     def test_self(self):
         graph = self.graph_of([("s", "x", "follow")])
         doc = mk_doc("d1", author_id="s")
-        assert social_relations(graph, "s", doc) == {"self"}
+        assert social_relations(graph.searcher_view("s"), doc) == {"self"}
 
     def test_friend_of_friend_exact_two_hops(self):
         graph = self.graph_of([
@@ -180,7 +183,7 @@ class TestSocialRelations:
             ("m", "a", "friend"), ("a", "m", "friend"),
         ])
         doc = mk_doc("d1", author_id="a")
-        assert social_relations(graph, "s", doc) == {"friend_of_friend"}
+        assert social_relations(graph.searcher_view("s"), doc) == {"friend_of_friend"}
 
     def test_direct_friend_suppresses_fof(self):
         graph = self.graph_of([
@@ -189,16 +192,25 @@ class TestSocialRelations:
             ("m", "a", "friend"), ("a", "m", "friend"),
         ])
         doc = mk_doc("d1", author_id="a")
-        rels = social_relations(graph, "s", doc)
+        rels = social_relations(graph.searcher_view("s"), doc)
         assert "friend" in rels and "friend_of_friend" not in rels
 
-    def test_unknown_searcher_warns_and_returns_empty(self, caplog):
+    def test_unknown_searcher_warns_and_returns_empty(self, caplog, replay_dir):
         graph = self.graph_of([("a", "b", "follow")])
         doc = mk_doc("d1", author_id="b")
         with caplog.at_level("WARNING"):
-            rels = social_relations(graph, "ghost", doc)
+            rels = social_relations(graph.searcher_view("ghost"), doc)
         assert rels == set()
         assert "ghost" in caplog.text
+        # a search warns once for the query, not once per candidate
+        engine = load_engine(replay_dir / "engine.json")
+        record = next(r for r in engine.query_log if not engine.corpus.graph.knows(r.user_id))
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            result = engine.search(record.query_text, record.user_id)
+        assert len(result.candidates) > 1
+        warnings = [r.getMessage() for r in caplog.records if "has no edges" in r.getMessage()]
+        assert warnings == [f"searcher {record.user_id!r} has no edges in the social graph"]
 
     def test_random_graphs_match_enumeration_oracle(self):
         rng = random.Random(20240901)
@@ -229,9 +241,44 @@ class TestSocialRelations:
                 doc_id = rng.choice(doc_nodes)
                 doc = mk_doc(doc_id, author_id=author)
                 expected = relations_oracle(sorted(edges), searcher, doc_id, author)
-                assert social_relations(graph, searcher, doc) == expected, (
+                assert social_relations(graph.searcher_view(searcher), doc) == expected, (
                     f"trial {trial}: searcher={searcher} author={author} doc={doc_id}"
                 )
+
+
+NODES = ["u0", "u1", "u2", "u3", "d0"]  # few nodes, so paths and self-loops are common
+LABELS = ["friend", "follow", "pending_friend", "pending_join", "member", "engaged"]
+
+
+@st.composite
+def graph_edges(draw):
+    edges = set()
+    for src, dst, label in draw(st.lists(st.tuples(st.sampled_from(NODES),
+                                                   st.sampled_from(NODES),
+                                                   st.sampled_from(LABELS)), max_size=30)):
+        if label in ("friend", "pending_friend", "pending_join") and src == dst:
+            continue
+        edges.add((src, dst, label))
+        if label == "friend":
+            edges.add((dst, src, label))
+    return sorted(edges)
+
+
+class TestSearcherView:
+    """social_relations on a per-query view against the graph walk it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(edges=[("u0", "u0", "follow")], searcher="u0", author=None, doc_id="u0")
+    @given(edges=graph_edges(), searcher=st.sampled_from(NODES + ["ghost"]),
+           author=st.sampled_from(NODES + [None, "ghost"]), doc_id=st.sampled_from(NODES))
+    def test_view_matches_walk_and_enumeration(self, edges, searcher, author, doc_id):
+        graph = SocialGraph()
+        for src, dst, label in edges:
+            graph.add_edge(src, dst, label)
+        doc = mk_doc(doc_id, author_id=author)
+        got = social_relations(graph.searcher_view(searcher), doc)
+        assert got == social_relations_walk(graph, searcher, doc)
+        assert got == relations_oracle(edges, searcher, doc_id, author)
 
 
 class TestEngagementTable:

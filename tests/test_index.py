@@ -1,4 +1,4 @@
-"""Sharded index construction, BM25 scoring, retrieval, snapshots."""
+"""Sharded index construction, BM25 scoring, retrieval."""
 
 from __future__ import annotations
 
@@ -6,19 +6,20 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mk_corpus, mk_doc
-from oracles import bm25_oracle
+from oracles import DictIndexOracle, bm25_oracle
 
-from intentrank.errors import ConfigurationError, RecordParseError
+from intentrank.errors import ConfigurationError
 from intentrank.index import (
     GlobalStats,
     build_index,
     first_pass_score,
     idf,
-    load_index,
     retrieve,
-    save_index,
+    shard_of,
     tokenize,
 )
 
@@ -48,7 +49,7 @@ class TestBuild:
     def test_single_doc_single_shard(self):
         corpus = mk_corpus(docs=[mk_doc("d1", title="alpha beta", body="beta")])
         index = build_index(corpus, num_shards=1)
-        assert set(index.shards[0].postings) == {"alpha", "beta"}
+        assert set(index.term_spans) == {"alpha", "beta"}
         assert index.doc_length("d1") == 3
         assert index.positions("beta", "d1") == (1, 2)
 
@@ -57,11 +58,21 @@ class TestBuild:
         with pytest.raises(ConfigurationError, match="num_shards"):
             build_index(corpus, num_shards=0)
 
+    def test_bm25_parameters_checked_at_build(self):
+        corpus = mk_corpus(docs=[mk_doc("d1", title="a")])
+        with pytest.raises(ConfigurationError, match="k1"):
+            build_index(corpus, k1=0.0)
+        with pytest.raises(ConfigurationError, match="b must"):
+            build_index(corpus, b=1.5)
+
     def test_shards_partition_the_corpus(self):
         rng = random.Random(11)
         corpus = random_corpus(rng, 200)
         index = build_index(corpus, num_shards=4)
-        shard_sets = [set(s.doc_lengths) for s in index.shards]
+        shard_sets = [{d for d, s in zip(index.doc_ids, index.shard_ids) if s == shard}
+                      for shard in range(4)]
+        assert all(shard_sets)
+        assert all(shard_of(d, 4) == s for d, s in zip(index.doc_ids, index.shard_ids))
         union = set().union(*shard_sets)
         assert union == set(corpus.documents)
         assert sum(len(s) for s in shard_sets) == len(corpus.documents)  # disjoint
@@ -72,10 +83,13 @@ class TestBuild:
         index = build_index(corpus, num_shards=3)
         df = {}
         total_len = 0
-        for shard in index.shards:
-            total_len += sum(shard.doc_lengths.values())
-            for term, postings in shard.postings.items():
-                df[term] = df.get(term, 0) + len(postings)
+        for shard in range(3):
+            in_shard = index.shard_ids == shard
+            total_len += int(index.doc_lengths[in_shard].sum())
+            for term, (lo, hi) in index.term_spans.items():
+                hits = int(in_shard[index.doc_rows[lo:hi]].sum())
+                if hits:
+                    df[term] = df.get(term, 0) + hits
         assert df == index.stats.df
         assert index.stats.n_docs == 120
         assert index.stats.avgdl == pytest.approx(total_len / 120)
@@ -173,6 +187,9 @@ class TestRetrieve:
             retrieve(index, ["cat"], k=5, per_shard_k=2)
         # override allowed, may legitimately drop documents
         assert retrieve(index, ["cat"], k=5, per_shard_k=2, enforce_per_shard_k=False)
+        # an index node must return at least one document
+        with pytest.raises(ConfigurationError, match="per_shard_k must be >= 1"):
+            retrieve(index, ["cat"], k=5, per_shard_k=0, enforce_per_shard_k=False)
 
     def test_repeated_retrieval_identical(self):
         rng = random.Random(15)
@@ -183,33 +200,43 @@ class TestRetrieve:
         assert first == second
 
 
-class TestSnapshot:
-    def test_round_trip(self, tmp_path):
-        rng = random.Random(16)
-        corpus = random_corpus(rng, 40)
-        index = build_index(corpus, num_shards=3)
-        path = tmp_path / "index.jsonl"
-        save_index(index, path)
-        loaded = load_index(path)
-        assert loaded.stats == index.stats
-        assert retrieve(loaded, ["w1", "w2"], k=10) == retrieve(index, ["w1", "w2"], k=10)
-        for shard_a, shard_b in zip(index.shards, loaded.shards):
-            assert shard_a.postings == shard_b.postings
-            assert shard_a.doc_lengths == shard_b.doc_lengths
 
-    def test_version_mismatch_fails_loudly(self, tmp_path):
-        corpus = mk_corpus(docs=[mk_doc("d1", title="a")])
-        index = build_index(corpus)
-        path = tmp_path / "index.jsonl"
-        save_index(index, path)
-        lines = path.read_text().splitlines()
-        header = lines[0].replace('"version": 1', '"version": 99')
-        path.write_text("\n".join([header] + lines[1:]) + "\n")
-        with pytest.raises(RecordParseError, match="version"):
-            load_index(path)
+VOCAB = [f"w{i}" for i in range(8)]  # small, so tf and score ties are common
+words = st.lists(st.sampled_from(VOCAB), max_size=8).map(" ".join)
 
-    def test_wrong_format_fails(self, tmp_path):
-        path = tmp_path / "index.jsonl"
-        path.write_text('{"format": "something-else", "version": 1}\n{"df": {}}\n')
-        with pytest.raises(RecordParseError, match="not an index snapshot"):
-            load_index(path)
+
+@st.composite
+def corpora(draw):
+    doc_ids = draw(st.lists(st.text("abyZ_9é", min_size=1, max_size=4), max_size=30,
+                            unique=True))
+    return mk_corpus(docs=[mk_doc(d, title=draw(words), body=draw(words)) for d in doc_ids])
+
+
+class TestDictIndexOracle:
+    """The columnar index against the dict-of-postings index it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(corpus=corpora(), num_shards=st.integers(1, 8), k=st.integers(1, 12),
+           extra=st.integers(1, 5), per_shard=st.sampled_from(["k", "above", "below"]),
+           query=st.lists(st.sampled_from(VOCAB + ["absent"]), max_size=5))
+    def test_bit_equal_to_dict_index(self, corpus, num_shards, k, extra, per_shard, query):
+        index = build_index(corpus, num_shards=num_shards)
+        oracle = DictIndexOracle(corpus.documents, num_shards=num_shards)
+        per_shard_k = {"k": k, "above": k + extra, "below": max(0, k - extra)}[per_shard]
+        if per_shard_k == 0:
+            with pytest.raises(ConfigurationError, match="per_shard_k must be >= 1"):
+                retrieve(index, query, k=k, per_shard_k=0, enforce_per_shard_k=False)
+            return
+        got = retrieve(index, query, k=k, per_shard_k=per_shard_k, enforce_per_shard_k=False)
+        assert [(c.doc_id, c.first_pass_score) for c in got] == oracle.retrieve(
+            query, k, per_shard_k)
+        assert index.stats.df == oracle.df
+        assert index.stats.avgdl == oracle.avgdl
+        for doc_id in corpus.documents:
+            assert index.term_frequencies(doc_id, VOCAB) == oracle.term_frequencies(
+                doc_id, VOCAB)
+            assert index.score_doc(query, doc_id) == oracle.score_doc(query, doc_id)
+            for term in VOCAB + ["absent"]:
+                assert index.positions(term, doc_id) == oracle.positions(term, doc_id)
+        assert index.positions("w0", "no-such-doc") == ()
+        assert index.score_doc(query, "no-such-doc") == 0.0

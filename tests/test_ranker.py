@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -379,6 +382,31 @@ class TestConfig:
         c = RankerConfig(generic_weights={"x": 1.1}, intent_weights={"friend": 2.0})
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
+
+    def test_fingerprint_equals_canonical_json_hash_after_replace(self):
+        base = RankerConfig(generic_weights={"x": 1.0, "a": 0.5}, intent_weights={"friend": 2.0})
+        for config in (base, base.replace(k_final=7), base.replace(generic_weights={"x": 3.0}),
+                       base.replace(intent_weights={}),
+                       dataclasses.replace(base, trigger_threshold=0.2)):
+            canon = json.dumps({
+                "generic_weights": dict(sorted(config.generic_weights.items())),
+                "intent_weights": dict(sorted(config.intent_weights.items())),
+                "trigger_threshold": config.trigger_threshold,
+                "k_final": config.k_final,
+            }, sort_keys=True)
+            assert config.fingerprint() == hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+
+    def test_weights_cannot_change_after_construction(self):
+        weights = {"x": 1.0}
+        config = RankerConfig(generic_weights=weights)
+        before = config.fingerprint()
+        weights["x"] = 2.0  # the caller's dict is copied, not shared
+        assert config.generic_weights["x"] == 1.0
+        with pytest.raises(TypeError):
+            config.generic_weights["x"] = 2.0
+        with pytest.raises(TypeError):
+            config.intent_weights["friend"] = 1.0
+        assert config.fingerprint() == before == RankerConfig(generic_weights={"x": 1.0}).fingerprint()
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
