@@ -10,6 +10,7 @@ configuration error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -22,10 +23,10 @@ from .corpus import load_corpus, save_corpus
 from .engine import EngineHandle, load_engine
 from .errors import IntentRankError
 from .evaluation import ab_compare, load_bvt_suite, run_bvts, save_bvt_report
-from .ranker import RankerConfig, explain, export_traces
-from .records import write_records
+from .ranker import RANKER_WEIGHTS, RankerConfig, explain, export_traces
+from .records import read_config, write_records
 from .synth import FIXTURE_BUILDERS, write_fixture
-from .tuning import TuneAssets, TuneSpec, tune
+from .tuning import TUNE_SPEC, TuneAssets, tune
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -231,8 +232,7 @@ def cmd_train(args) -> int:
     features = None
     if args.features:
         features = tuple(name.strip() for name in args.features.split(",") if name.strip())
-    params = TrainParams(learning_rate=args.learning_rate, iterations=args.iterations,
-                         seed=args.seed)
+    params = TrainParams(learning_rate=args.learning_rate, iterations=args.iterations)
     if features:
         model, report = engine.train_engagement_model(feature_names=features, params=params)
     else:
@@ -246,9 +246,7 @@ def cmd_train(args) -> int:
 
 
 def _load_weights(path: str | None, engine: EngineHandle) -> RankerConfig:
-    if path is None:
-        return engine.ranker_config
-    return RankerConfig.from_record(json.loads(Path(path).read_text(encoding="utf-8")))
+    return engine.ranker_config if path is None else read_config(path, RANKER_WEIGHTS)
 
 
 def cmd_abtest(args) -> int:
@@ -270,10 +268,9 @@ def cmd_abtest(args) -> int:
 
 def cmd_tune(args) -> int:
     engine = load_engine(args.config)
-    spec_rec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+    spec = read_config(args.spec, TUNE_SPEC)
     if args.seed:
-        spec_rec["seed"] = args.seed
-    spec = TuneSpec.from_record(spec_rec)
+        spec = dataclasses.replace(spec, seed=args.seed)
     suite = load_bvt_suite(engine.bvt_suite_path) if engine.bvt_suite_path else []
     assets = TuneAssets.from_engine(engine, suite)
     result = tune(engine.ranker_config, spec, engine, assets)

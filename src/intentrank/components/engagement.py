@@ -3,7 +3,7 @@
 Labels come from the query log (good-clicked among shown documents). The
 model is deliberately small: a linear layer plus sigmoid over named
 features, trained by full-batch gradient descent on L2-regularized
-log-loss, deterministic for a fixed seed.
+log-loss, deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from ..corpus import Document, QueryContext, QueryRecord
 from ..errors import ConfigurationError, IntentRankError
+from ..records import Field, Table, list_of, number, read_config, string
 from .generic import (
     DEFAULT_LOCATION_TAU_KM,
     DEFAULT_RELATION_WEIGHTS,
@@ -103,32 +104,23 @@ class EngagementModel:
         z = float(np.dot(np.asarray(self.weights), x) + self.bias)
         return float(sigmoid(z))
 
-    def to_record(self) -> dict:
-        return {
-            "features": list(self.features),
-            "weights": list(self.weights),
-            "bias": self.bias,
-        }
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "EngagementModel":
-        return cls(
-            features=tuple(rec["features"]),
-            weights=tuple(float(w) for w in rec["weights"]),
-            bias=float(rec.get("bias", 0.0)),
-        )
-
     @classmethod
     def zeros(cls, features: Sequence[str]) -> "EngagementModel":
         return cls(features=tuple(features), weights=tuple(0.0 for _ in features), bias=0.0)
 
 
 def save_model(model: EngagementModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model.to_record(), sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(MODEL.encode(model), sort_keys=True) + "\n", encoding="utf-8")
+
+
+MODEL = Table(
+    EngagementModel,
+    Field("features", list_of(string)), Field("weights", list_of(number)), Field("bias", number, 0.0),
+)
 
 
 def load_model(path: str | Path) -> EngagementModel:
-    return EngagementModel.from_record(json.loads(Path(path).read_text(encoding="utf-8")))
+    return read_config(path, MODEL)
 
 
 def _zero(signals: SharedSignals) -> float:
@@ -180,7 +172,6 @@ class TrainParams:
     learning_rate: float = 1.0
     iterations: int = 500
     l2: float = 1e-4
-    seed: int = 0
 
 
 @dataclass
@@ -238,7 +229,7 @@ def train_engagement(
     feature_names: Sequence[str] = DEFAULT_FEATURES,
     params: TrainParams = TrainParams(),
 ) -> tuple[EngagementModel, TrainReport]:
-    """Full-batch gradient descent on log-loss; deterministic given the seed."""
+    """Full-batch gradient descent on log-loss; deterministic for fixed inputs."""
     if not log_records:
         raise IntentRankError("query log is empty; nothing to train on")
     x, y = build_training_matrix(log_records, signals_for, feature_names)
@@ -250,7 +241,7 @@ def train_engagement(
         )
 
     # Zero init keeps the run reproducible; the loss is convex so nothing
-    # is lost. The seed is reserved for future minibatch shuffling.
+    # is lost.
     weights = np.zeros(len(feature_names))
     bias = 0.0
     curve = []

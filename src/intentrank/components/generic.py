@@ -168,12 +168,12 @@ class TextRelevanceScorer(Scorer):
 
 class SocialRelevanceScorer(Scorer):
     def __init__(self, component_id: str = "social_relevance",
-                 weights: Mapping[str, float] = DEFAULT_RELATION_WEIGHTS):
+                 relation_weights: Mapping[str, float] = DEFAULT_RELATION_WEIGHTS):
         super().__init__(component_id)
-        bad = {k: v for k, v in weights.items() if not 0.0 <= v <= 1.0}
+        bad = {k: v for k, v in relation_weights.items() if not 0.0 <= v <= 1.0}
         if bad:
             raise ConfigurationError(f"relation weights outside [0,1]: {bad}")
-        self.weights = dict(weights)
+        self.weights = dict(relation_weights)
 
     def score(self, ctx, doc, signals):
         return social_relevance_value(signals.relations, self.weights)

@@ -5,8 +5,9 @@ A component record looks like
     {"component_id": "text", "kind": "text_relevance", "scope": "generic",
      "params": {...}, "weight": 1.0}
 
-Intent-specific records add an "intent" field. Weights are collected here
-and handed to the ranker config; the registry itself only resolves scorers.
+Intent-specific records add an "intent" field. `COMPONENT` decodes a record,
+choosing the params table by kind. Weights are collected here and handed to
+the ranker config; the registry itself only resolves scorers.
 """
 
 from __future__ import annotations
@@ -18,9 +19,12 @@ from typing import Any, Mapping, Optional, Sequence
 from ..corpus import SocialGraph
 from ..errors import ConfigurationError
 from ..intent.space import IntentSpace
-from ..records import read_records
+from ..records import Field, Table, by_kind, list_of, map_of, number, read_table, string
 from .engagement import EngagementModel, EngagementScorer
 from .generic import (
+    DEFAULT_LOCATION_TAU_KM,
+    DEFAULT_RELATION_WEIGHTS,
+    DEFAULT_TEXT_MIX,
     DocumentQualityScorer,
     LanguageMatchScorer,
     LocationRelevanceScorer,
@@ -31,17 +35,7 @@ from .generic import (
 )
 from .intent_specific import FriendIntentScorer, GrammarIntentScorer, VideoPublisherScorer
 
-GENERIC_KINDS = (
-    "text_relevance",
-    "social_relevance",
-    "location_relevance",
-    "language_match",
-    "document_quality",
-    "engagement",
-    "passthrough",
-)
 INTENT_KINDS = ("friend_intent", "grammar_intent", "video_publisher")
-VALID_KINDS = GENERIC_KINDS + INTENT_KINDS
 
 
 @dataclass(frozen=True)
@@ -80,18 +74,18 @@ class ComponentRegistry:
             raise ConfigurationError(f"duplicate component_id {component_id!r}")
         self._ids.add(component_id)
 
-    def component_for_intent(self, intent_id: str) -> Optional[Scorer]:
-        return self.intent_specific.get(intent_id)
-
     def __len__(self) -> int:
         return len(self._ids)
 
 
+PASSTHROUGH_SCORE = Table(
+    lambda query_text, doc_id, score: ((query_text, doc_id), score),
+    Field("query_text", string), Field("doc_id", string), Field("score", number),
+)
+
+
 def _load_passthrough_scores(path: Path) -> dict[tuple[str, str], float]:
-    scores = {}
-    for _, rec in read_records(path):
-        scores[(rec["query_text"], rec["doc_id"])] = float(rec["score"])
-    return scores
+    return dict(entry for _, entry in read_table(path, PASSTHROUGH_SCORE))
 
 
 def build_registry(
@@ -107,16 +101,16 @@ def build_registry(
     intent_weights: dict[str, float] = {}
 
     for spec in specs:
-        if spec.kind not in VALID_KINDS:
+        if spec.kind not in KINDS:
             raise ConfigurationError(
                 f"component {spec.component_id!r}: unknown kind {spec.kind!r}; "
-                f"valid kinds: {', '.join(VALID_KINDS)}"
+                f"valid kinds: {', '.join(KINDS)}"
             )
         if spec.weight < 0 or spec.weight != spec.weight:
             raise ConfigurationError(
                 f"component {spec.component_id!r}: weight must be finite and >= 0"
             )
-        params = dict(spec.params)
+        scorer = _build_scorer(spec, graph, engagement_model, base_dir)
         if spec.kind in INTENT_KINDS or spec.scope == "intent_specific":
             intent_id = spec.intent
             if not intent_id:
@@ -129,65 +123,59 @@ def build_registry(
                     f"component {spec.component_id!r}: intent {intent_id!r} is not a "
                     f"detectable intent in the space"
                 )
-            scorer = _build_intent_scorer(spec, params, graph)
             scorer.intent = intent_id
             registry.add_intent_specific(intent_id, scorer)
             intent_weights[intent_id] = spec.weight
         else:
-            scorer = _build_generic_scorer(spec, params, engagement_model, base_dir)
             registry.add_generic(scorer)
             generic_weights[spec.component_id] = spec.weight
     return registry, generic_weights, intent_weights
 
 
-def _build_generic_scorer(spec, params, engagement_model, base_dir) -> Scorer:
-    cid = spec.component_id
-    if spec.kind == "text_relevance":
-        mix = params.get("mix", None)
-        return TextRelevanceScorer(cid, tuple(mix)) if mix else TextRelevanceScorer(cid)
-    if spec.kind == "social_relevance":
-        weights = params.get("relation_weights")
-        return SocialRelevanceScorer(cid, weights) if weights else SocialRelevanceScorer(cid)
-    if spec.kind == "location_relevance":
-        return LocationRelevanceScorer(cid, float(params.get("tau_km", 50.0)))
-    if spec.kind == "language_match":
-        return LanguageMatchScorer(cid)
-    if spec.kind == "document_quality":
-        return DocumentQualityScorer(cid)
+def _build_scorer(spec, graph, engagement_model, base_dir) -> Scorer:
+    cid, params = spec.component_id, spec.params
     if spec.kind == "engagement":
         return EngagementScorer(cid, engagement_model)
+    if spec.kind == "friend_intent":
+        return FriendIntentScorer(cid, graph)
     if spec.kind == "passthrough":
         path = params.get("path")
         scores: dict[tuple[str, str], float] = {}
         if path:
-            resolved = Path(path) if base_dir is None else Path(base_dir) / path
-            scores = _load_passthrough_scores(resolved)
-        return PassthroughScorer(cid, scores, float(params.get("default", 0.0)))
-    raise ConfigurationError(f"unhandled generic kind {spec.kind!r}")
+            scores = _load_passthrough_scores(Path(base_dir or "") / path)
+        return PassthroughScorer(cid, scores, params.get("default", 0.0))
+    return KINDS[spec.kind][0](cid, **params)
 
 
-def _build_intent_scorer(spec, params, graph) -> Scorer:
-    cid = spec.component_id
-    if spec.kind == "friend_intent":
-        return FriendIntentScorer(cid, graph)
-    if spec.kind == "grammar_intent":
-        return GrammarIntentScorer(cid)
-    if spec.kind == "video_publisher":
-        return VideoPublisherScorer(cid, params.get("mode", "binary"))
-    raise ConfigurationError(f"unhandled intent kind {spec.kind!r}")
+NO_PARAMS = Table(dict)
 
+#: kind -> (scorer class, table of its params); the class takes the component
+#: id and the params as keywords, except where _build_scorer says otherwise
+KINDS = {
+    "text_relevance": (
+        TextRelevanceScorer, Table(dict, Field("mix", list_of(number), DEFAULT_TEXT_MIX))),
+    "social_relevance": (SocialRelevanceScorer, Table(
+        dict, Field("relation_weights", map_of(number), DEFAULT_RELATION_WEIGHTS))),
+    "location_relevance": (
+        LocationRelevanceScorer, Table(dict, Field("tau_km", number, DEFAULT_LOCATION_TAU_KM))),
+    "language_match": (LanguageMatchScorer, NO_PARAMS),
+    "document_quality": (DocumentQualityScorer, NO_PARAMS),
+    "engagement": (EngagementScorer, NO_PARAMS),
+    "passthrough": (PassthroughScorer, Table(
+        dict, Field("path", string, None), Field("default", number, 0.0))),
+    "friend_intent": (FriendIntentScorer, NO_PARAMS),
+    "grammar_intent": (GrammarIntentScorer, NO_PARAMS),
+    "video_publisher": (VideoPublisherScorer, Table(
+        dict, Field("mode", string, "binary", choices=VideoPublisherScorer.MODES))),
+}
 
-def specs_from_records(records: Sequence[Mapping[str, Any]]) -> list[ComponentSpec]:
-    specs = []
-    for rec in records:
-        specs.append(
-            ComponentSpec(
-                component_id=rec["component_id"],
-                kind=rec["kind"],
-                scope=rec.get("scope", "generic"),
-                intent=rec.get("intent"),
-                params=rec.get("params", {}),
-                weight=float(rec.get("weight", 1.0)),
-            )
-        )
-    return specs
+COMPONENT = by_kind("kind", {
+    kind: Table(
+        ComponentSpec,
+        Field("component_id", string), Field("kind", string),
+        Field("scope", string, "generic", choices=("generic", "intent_specific")),
+        Field("intent", string, None), Field("params", params, params({})),
+        Field("weight", number, 1.0),
+    )
+    for kind, (_, params) in KINDS.items()
+}, "component kind")

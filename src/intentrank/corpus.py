@@ -8,7 +8,11 @@ per file:
     edges.jsonl       one directed social edge per line
 
 Query logs and relevance judgments are separate assets with their own
-loaders. Everything is immutable after load and safe for concurrent reads.
+loaders. Each record kind has one field table (`DOCUMENT`, `USER`, `EDGE`,
+`QUERY_RECORD`, `JUDGMENT`): `records.read_table` decodes through it and
+`save_corpus` writes through it. The loaders then run each object's
+`validate()`, which holds the cross-field invariants. Everything is immutable
+after load and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -20,26 +24,16 @@ from pathlib import Path
 from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .errors import InvariantError
-from .records import RecordReader, read_records, write_records
+from .records import (
+    EMPTY_MAP, EMPTY_SET, Field, Table, boolean, int_or_name, integer, list_of, map_of, number,
+    read_table, string, write_records,
+)
 
 log = logging.getLogger(__name__)
 
 DOC_TYPES = ("user", "page", "group", "post", "video", "photo", "event")
 
 EDGE_LABELS = ("friend", "follow", "pending_friend", "pending_join", "member", "engaged")
-
-#: Relation labels social_relations() can emit, strongest first.
-RELATION_LABELS = (
-    "self",
-    "friend",
-    "self_engaged",
-    "friend_engaged",
-    "followee",
-    "friend_of_friend",
-    "follower",
-    "pending_friend",
-    "pending_joining",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,18 +73,6 @@ class QualitySignals:
             return base
         return base + (self.video_resolution,)
 
-    def to_record(self) -> dict:
-        rec = {
-            "kids_friendly": self.kids_friendly,
-            "authentic": self.authentic,
-            "authoritative": self.authoritative,
-            "readability": self.readability,
-            "policy_reject": self.policy_reject,
-        }
-        if self.video_resolution is not None:
-            rec["video_resolution"] = self.video_resolution
-        return rec
-
 
 @dataclass(frozen=True)
 class EngagementCounters:
@@ -110,13 +92,6 @@ class EngagementCounters:
                 f"{self.good_clicks}/{self.clicks}/{self.impressions}"
             )
 
-    def to_record(self) -> dict:
-        return {
-            "impressions": self.impressions,
-            "clicks": self.clicks,
-            "good_clicks": self.good_clicks,
-        }
-
 
 @dataclass(frozen=True)
 class Document:
@@ -131,7 +106,7 @@ class Document:
     languages: dict = field(default_factory=dict)
     location: Optional[tuple[float, float]] = None
     created_ts: int = 0
-    entity_ids: frozenset = frozenset()
+    entity_ids: frozenset = EMPTY_SET
     quality: QualitySignals = QualitySignals()
     engagement: EngagementCounters = EngagementCounters()
 
@@ -162,67 +137,31 @@ class Document:
         self.quality.validate(self.doc_id)
         self.engagement.validate(self.doc_id)
 
-    def to_record(self) -> dict:
-        rec: dict = {
-            "doc_id": self.doc_id,
-            "doc_type": self.doc_type,
-            "title": self.title,
-            "body": self.body,
-            "languages": dict(sorted(self.languages.items())),
-            "created_ts": self.created_ts,
-            "entity_ids": sorted(self.entity_ids),
-            "quality": self.quality.to_record(),
-            "engagement": self.engagement.to_record(),
-        }
-        if self.author_id is not None:
-            rec["author_id"] = self.author_id
-        if self.publisher_id is not None:
-            rec["publisher_id"] = self.publisher_id
-        if self.location is not None:
-            rec["location"] = list(self.location)
-        return rec
 
-    @classmethod
-    def from_record(cls, reader: RecordReader) -> "Document":
-        loc = reader.take("location")
-        quality_rec = reader.take("quality", {})
-        engagement_rec = reader.take("engagement", {})
-        doc = cls(
-            doc_id=reader.take("doc_id", required=True),
-            doc_type=reader.take("doc_type", required=True),
-            title=reader.take("title", ""),
-            body=reader.take("body", ""),
-            author_id=reader.take("author_id"),
-            publisher_id=reader.take("publisher_id"),
-            languages={str(k): float(v) for k, v in reader.take("languages", {}).items()},
-            location=(float(loc[0]), float(loc[1])) if loc else None,
-            created_ts=int(reader.take("created_ts", 0)),
-            entity_ids=frozenset(reader.take("entity_ids", [])),
-            quality=QualitySignals(
-                kids_friendly=float(quality_rec.get("kids_friendly", 1.0)),
-                authentic=float(quality_rec.get("authentic", 1.0)),
-                authoritative=float(quality_rec.get("authoritative", 0.5)),
-                readability=float(quality_rec.get("readability", 0.5)),
-                video_resolution=(
-                    float(quality_rec["video_resolution"])
-                    if quality_rec.get("video_resolution") is not None
-                    else None
-                ),
-                policy_reject=bool(quality_rec.get("policy_reject", False)),
-            ),
-            engagement=EngagementCounters(
-                impressions=int(engagement_rec.get("impressions", 0)),
-                clicks=int(engagement_rec.get("clicks", 0)),
-                good_clicks=int(engagement_rec.get("good_clicks", 0)),
-            ),
-        )
-        return doc
+QUALITY = Table(
+    QualitySignals,
+    Field("kids_friendly", number, 1.0), Field("authentic", number, 1.0),
+    Field("authoritative", number, 0.5), Field("readability", number, 0.5),
+    Field("video_resolution", number, None), Field("policy_reject", boolean, False),
+)
 
+ENGAGEMENT = Table(
+    EngagementCounters,
+    Field("impressions", integer, 0), Field("clicks", integer, 0), Field("good_clicks", integer, 0),
+)
 
-DOCUMENT_FIELDS = {
-    "doc_id", "doc_type", "title", "body", "author_id", "publisher_id",
-    "languages", "location", "created_ts", "entity_ids", "quality", "engagement",
-}
+LAT_LON = list_of(number, length=2)
+
+DOCUMENT = Table(
+    Document,
+    Field("doc_id", string), Field("doc_type", string),
+    Field("title", string, ""), Field("body", string, ""),
+    Field("author_id", string, None), Field("publisher_id", string, None),
+    Field("languages", map_of(number), EMPTY_MAP), Field("location", LAT_LON, None),
+    Field("created_ts", integer, 0), Field("entity_ids", list_of(string, frozenset), EMPTY_SET),
+    Field("quality", QUALITY, QualitySignals()),
+    Field("engagement", ENGAGEMENT, EngagementCounters()),
+)
 
 
 @dataclass(frozen=True)
@@ -244,30 +183,12 @@ class UserContext:
                     f"user {self.user_id!r}: engagement on {doc_id!r} has future timestamp {ts}"
                 )
 
-    def to_record(self) -> dict:
-        rec: dict = {
-            "user_id": self.user_id,
-            "languages": list(self.languages),
-            "engaged_doc_ids": dict(sorted(self.engaged_doc_ids.items())),
-        }
-        if self.location is not None:
-            rec["location"] = list(self.location)
-        return rec
 
-    @classmethod
-    def from_record(cls, reader: RecordReader) -> "UserContext":
-        loc = reader.take("location")
-        return cls(
-            user_id=reader.take("user_id", required=True),
-            languages=tuple(reader.take("languages", [])),
-            location=(float(loc[0]), float(loc[1])) if loc else None,
-            engaged_doc_ids={
-                str(k): int(v) for k, v in reader.take("engaged_doc_ids", {}).items()
-            },
-        )
-
-
-USER_FIELDS = {"user_id", "languages", "location", "engaged_doc_ids"}
+USER = Table(
+    UserContext,
+    Field("user_id", string), Field("languages", list_of(string), ()),
+    Field("location", LAT_LON, None), Field("engaged_doc_ids", map_of(integer), EMPTY_MAP),
+)
 
 
 @dataclass(frozen=True)
@@ -310,19 +231,11 @@ class SocialGraph:
         self._out.setdefault(src, {}).setdefault(label, set()).add(dst)
         self._in.setdefault(dst, {}).setdefault(label, set()).add(src)
 
-    def add_friends(self, a: str, b: str) -> None:
-        """Insert a symmetric friend edge pair."""
-        self.add_edge(a, b, "friend")
-        self.add_edge(b, a, "friend")
-
     def has_edge(self, src: str, dst: str, label: str) -> bool:
         return dst in self._out.get(src, {}).get(label, ())
 
     def out_neighbors(self, src: str, label: str) -> frozenset:
         return frozenset(self._out.get(src, {}).get(label, ()))
-
-    def in_neighbors(self, dst: str, label: str) -> frozenset:
-        return frozenset(self._in.get(dst, {}).get(label, ()))
 
     def friends(self, user_id: str) -> frozenset:
         return self.out_neighbors(user_id, "friend")
@@ -390,7 +303,7 @@ class SearcherView:
     pending_joins: AbstractSet[str]
 
 
-EDGE_FIELDS = {"src", "dst", "label"}
+EDGE = Table(dict, Field("src", string), Field("dst", string), Field("label", string))
 
 
 @dataclass(frozen=True)
@@ -418,42 +331,16 @@ class QueryRecord:
                 f"query {self.query_text!r}: good_clicked docs {extra} were never clicked"
             )
 
-    def to_record(self) -> dict:
-        rec: dict = {
-            "query_text": self.query_text,
-            "user_id": self.user_id,
-            "ts": self.ts,
-            "shown_doc_ids": list(self.shown_doc_ids),
-            "clicked": sorted(self.clicked),
-            "good_clicked": sorted(self.good_clicked),
-        }
-        if self.suggestion_click is not None:
-            rec["suggestion_click"] = {
-                "entity_id": self.suggestion_click.entity_id,
-                "intent_id": self.suggestion_click.intent_id,
-            }
-        return rec
 
-    @classmethod
-    def from_record(cls, reader: RecordReader) -> "QueryRecord":
-        sug = reader.take("suggestion_click")
-        return cls(
-            query_text=reader.take("query_text", required=True),
-            user_id=reader.take("user_id", required=True),
-            ts=int(reader.take("ts", 0)),
-            shown_doc_ids=tuple(reader.take("shown_doc_ids", [])),
-            clicked=frozenset(reader.take("clicked", [])),
-            good_clicked=frozenset(reader.take("good_clicked", [])),
-            suggestion_click=(
-                StructuredSuggestion(sug["entity_id"], sug["intent_id"]) if sug else None
-            ),
-        )
+SUGGESTION = Table(StructuredSuggestion, Field("entity_id", string), Field("intent_id", string))
 
-
-QUERY_FIELDS = {
-    "query_text", "user_id", "ts", "shown_doc_ids", "clicked",
-    "good_clicked", "suggestion_click",
-}
+QUERY_RECORD = Table(
+    QueryRecord,
+    Field("query_text", string), Field("user_id", string), Field("ts", integer, 0),
+    Field("shown_doc_ids", list_of(string), ()), Field("suggestion_click", SUGGESTION, None),
+    Field("clicked", list_of(string, frozenset), EMPTY_SET),
+    Field("good_clicked", list_of(string, frozenset), EMPTY_SET),
+)
 
 GRADE_NAMES = {"bad": 0, "okay": 1, "good": 2, "great": 3, "perfect": 4}
 
@@ -474,16 +361,12 @@ class RelevanceJudgment:
                 f"outside 0..4"
             )
 
-    def to_record(self) -> dict:
-        return {
-            "query_text": self.query_text,
-            "user_id": self.user_id,
-            "doc_id": self.doc_id,
-            "grade": self.grade,
-        }
 
-
-JUDGMENT_FIELDS = {"query_text", "user_id", "doc_id", "grade"}
+JUDGMENT = Table(
+    RelevanceJudgment,
+    Field("query_text", string), Field("user_id", string), Field("doc_id", string),
+    Field("grade", int_or_name(GRADE_NAMES)),
+)
 
 
 class Corpus:
@@ -509,44 +392,31 @@ class Corpus:
         return len(self.documents)
 
 
+def _load_unique(path: Path, table: Table, key: str) -> dict:
+    """A record file's validated objects by `key`; a repeated key is an error."""
+    out: dict = {}
+    if path.exists():
+        for line_no, item in read_table(path, table):
+            if out.setdefault(getattr(item, key), item) is not item:
+                raise InvariantError(f"{path}:{line_no}: duplicate {key} {getattr(item, key)!r}")
+            item.validate()
+    return out
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus directory; validates every invariant before returning."""
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
 
-    documents: dict[str, Document] = {}
-    doc_path = root / "documents.jsonl"
-    if doc_path.exists():
-        for line_no, rec in read_records(doc_path):
-            doc = Document.from_record(RecordReader(str(doc_path), line_no, rec, DOCUMENT_FIELDS))
-            if doc.doc_id in documents:
-                raise InvariantError(
-                    f"{doc_path}:{line_no}: duplicate doc_id {doc.doc_id!r}"
-                )
-            doc.validate()
-            documents[doc.doc_id] = doc
-
-    users: dict[str, UserContext] = {}
-    user_path = root / "users.jsonl"
-    if user_path.exists():
-        for line_no, rec in read_records(user_path):
-            user = UserContext.from_record(RecordReader(str(user_path), line_no, rec, USER_FIELDS))
-            if user.user_id in users:
-                raise InvariantError(f"{user_path}:{line_no}: duplicate user_id {user.user_id!r}")
-            user.validate()
-            users[user.user_id] = user
+    documents: dict[str, Document] = _load_unique(root / "documents.jsonl", DOCUMENT, "doc_id")
+    users: dict[str, UserContext] = _load_unique(root / "users.jsonl", USER, "user_id")
 
     graph = SocialGraph()
     edge_path = root / "edges.jsonl"
     if edge_path.exists():
-        for line_no, rec in read_records(edge_path):
-            reader = RecordReader(str(edge_path), line_no, rec, EDGE_FIELDS)
-            graph.add_edge(
-                reader.take("src", required=True),
-                reader.take("dst", required=True),
-                reader.take("label", required=True),
-            )
+        for _, edge in read_table(edge_path, EDGE):
+            graph.add_edge(**edge)
     graph.validate()
 
     corpus = Corpus(documents, users, graph)
@@ -558,53 +428,29 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus directory in canonical (sorted) order; round-trips exactly."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    write_records(
-        root / "documents.jsonl",
-        (corpus.documents[k].to_record() for k in sorted(corpus.documents)),
-    )
-    write_records(
-        root / "users.jsonl",
-        (corpus.users[k].to_record() for k in sorted(corpus.users)),
-    )
+    write_records(root / "documents.jsonl",
+                  (DOCUMENT.encode(corpus.documents[k]) for k in sorted(corpus.documents)))
+    write_records(root / "users.jsonl",
+                  (USER.encode(corpus.users[k]) for k in sorted(corpus.users)))
     write_records(
         root / "edges.jsonl",
         ({"src": s, "dst": d, "label": lb} for s, d, lb in corpus.graph.edges()),
     )
 
 
+def _load_valid(path: str | Path, table: Table) -> list:
+    items = [item for _, item in read_table(path, table)]
+    for item in items:
+        item.validate()
+    return items
+
+
 def load_query_log(path: str | Path) -> list[QueryRecord]:
-    out = []
-    for line_no, rec in read_records(path):
-        q = QueryRecord.from_record(RecordReader(str(path), line_no, rec, QUERY_FIELDS))
-        q.validate()
-        out.append(q)
-    return out
-
-
-def save_query_log(records: Iterable[QueryRecord], path: str | Path) -> int:
-    return write_records(path, (r.to_record() for r in records))
+    return _load_valid(path, QUERY_RECORD)
 
 
 def load_judgments(path: str | Path) -> list[RelevanceJudgment]:
-    out = []
-    for line_no, rec in read_records(path):
-        reader = RecordReader(str(path), line_no, rec, JUDGMENT_FIELDS)
-        grade = reader.take("grade", required=True)
-        if isinstance(grade, str):
-            grade = GRADE_NAMES.get(grade.lower(), -1)
-        j = RelevanceJudgment(
-            query_text=reader.take("query_text", required=True),
-            user_id=reader.take("user_id", required=True),
-            doc_id=reader.take("doc_id", required=True),
-            grade=int(grade),
-        )
-        j.validate()
-        out.append(j)
-    return out
-
-
-def save_judgments(judgments: Iterable[RelevanceJudgment], path: str | Path) -> int:
-    return write_records(path, (j.to_record() for j in judgments))
+    return _load_valid(path, JUDGMENT)
 
 
 def social_relations(view: SearcherView, doc: Document) -> set[str]:

@@ -1,17 +1,16 @@
 """Engine assembly: one config file wires corpus, index, detection, scoring.
 
-The engine config is a single JSON file of asset paths and knobs. Relative
-paths resolve against the config file's directory, so a corpus directory
-can be moved wholesale. The assembled handle is immutable and safe to share
-across threads; per-query work is pure.
+The engine config is a single JSON file of asset paths and knobs, decoded
+by `ENGINE_CONFIG`. Relative paths resolve against the config file's
+directory, so a corpus directory can be moved wholesale. The assembled
+handle is immutable and safe to share across threads; per-query work is pure.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -23,7 +22,7 @@ from .components.engagement import (
     load_model,
     train_engagement,
 )
-from .components.registry import ComponentRegistry, ComponentSpec, build_registry, specs_from_records
+from .components.registry import COMPONENT, ComponentRegistry, build_registry
 from .components.signals import SharedSignals
 from .corpus import (
     Corpus,
@@ -33,7 +32,6 @@ from .corpus import (
     QueryRecord,
     RelevanceJudgment,
     StructuredSuggestion,
-    UserContext,
     load_corpus,
     load_judgments,
     load_query_log,
@@ -46,7 +44,7 @@ from .components.generic import (
     proximity_score,
     title_hit_ratio,
 )
-from .errors import ConfigurationError, IntentRankError
+from .errors import IntentRankError
 from .index import Candidate, ShardedIndex, build_index, retrieve, tokenize
 from .intent.classify import (
     CharNgramClassifier,
@@ -63,10 +61,11 @@ from .intent.detect import (
     load_patterns,
 )
 from .intent.patterns import KnowledgeBase
-from .intent.space import IntentDistribution, IntentSpace
+from .intent.space import IntentSpace
 # `rank` is build_table + combine in one call, kept here for callers that
 # re-assemble the search pipeline from this module's names
 from .ranker import (
+    DEFAULT_TRIGGER_THRESHOLD,
     RankedList,
     RankerConfig,
     ScoreTable,
@@ -75,19 +74,63 @@ from .ranker import (
     rank,
     validate_config,
 )
+from .records import (
+    REQUIRED, Field, Table, by_kind, integer, list_of, map_of, number, read_config, string,
+)
 
 log = logging.getLogger(__name__)
 
 DEFAULT_INTENTS = ("friend", "video_publisher", "special_grammar", "news", "sports")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetrievalParams:
-    num_shards: int = 1
-    k: int = 50
-    per_shard_k: Optional[int] = None
-    k1: float = 1.2
-    b: float = 0.75
+    """The engine config's "retrieval" object; defaults are in RETRIEVAL."""
+
+    num_shards: int
+    k: int
+    per_shard_k: Optional[int]
+    k1: float
+    b: float
+
+
+RETRIEVAL = Table(
+    RetrievalParams,
+    Field("num_shards", integer, 1), Field("k", integer, 50), Field("per_shard_k", integer, None),
+    Field("k1", number, 1.2), Field("b", number, 0.75),
+)
+
+
+def _classifier(params: Table, default=REQUIRED) -> Table:
+    return Table(dict, Field("intent", string), Field("kind", string), Field("name", string, None),
+                 Field("params", params, default))
+
+
+CLASSIFIER = by_kind("kind", {
+    "keyword": _classifier(Table(dict, Field("keyword_confidence", map_of(number)))),
+    "char_ngram": _classifier(
+        Table(dict, Field("ngrams", list_of(string)), Field("confidence", number, 0.6))),
+    "friend_name": _classifier(Table(dict), {}),
+}, "classifier kind")
+
+INTENT = Table(
+    dict,
+    Field("space", list_of(string), DEFAULT_INTENTS), Field("patterns", string, None),
+    Field("dictionaries", string, None), Field("entities", string, None),
+    Field("classifiers", list_of(CLASSIFIER), ()), Field("link_threshold", number, 0.3),
+)
+
+RANKER_KNOBS = Table(
+    dict, Field("trigger_threshold", number, DEFAULT_TRIGGER_THRESHOLD), Field("k_final", integer, 10))
+
+ENGINE_CONFIG = Table(
+    dict,
+    Field("corpus_dir", string), Field("retrieval", RETRIEVAL, RETRIEVAL({})),
+    Field("intent", INTENT, INTENT({})), Field("components", list_of(COMPONENT), ()),
+    Field("ranker", RANKER_KNOBS, RANKER_KNOBS({})), Field("engagement_model", string, None),
+    Field("query_log", string, None), Field("judgments", string, None),
+    Field("bvt_suite", string, None), Field("now_ts", integer, None),
+)
 
 
 @dataclass(frozen=True)
@@ -287,74 +330,46 @@ def load_engine(config_path: str | Path) -> EngineHandle:
     if not config_path.exists():
         raise FileNotFoundError(f"engine config not found: {config_path}")
     text = config_path.read_text(encoding="utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{config_path}: invalid JSON: {exc.msg}") from exc
+    raw = read_config(config_path, ENGINE_CONFIG, text)
     base = config_path.parent
 
     def resolve(rel: Optional[str]) -> Optional[Path]:
-        if rel is None:
-            return None
-        p = Path(rel)
-        return p if p.is_absolute() else base / p
+        return None if rel is None else base / rel  # an absolute rel replaces base
 
-    corpus_dir = resolve(raw.get("corpus_dir"))
-    if corpus_dir is None:
-        raise ConfigurationError(f"{config_path}: missing required key 'corpus_dir'")
-    corpus = load_corpus(corpus_dir)
-
-    try:
-        retrieval = RetrievalParams(**raw.get("retrieval", {}))
-    except TypeError as exc:
-        raise ConfigurationError(f"{config_path}: bad retrieval key: {exc}") from exc
+    corpus = load_corpus(resolve(raw["corpus_dir"]))
+    retrieval = raw["retrieval"]
     index = build_index(corpus, num_shards=retrieval.num_shards,
                         k1=retrieval.k1, b=retrieval.b)
 
-    intent_raw = raw.get("intent", {})
-    space = IntentSpace(tuple(intent_raw.get("space", DEFAULT_INTENTS)))
-    patterns = load_patterns(resolve(intent_raw["patterns"])) if intent_raw.get("patterns") else []
-    dictionaries = (
-        load_dictionaries(resolve(intent_raw["dictionaries"]))
-        if intent_raw.get("dictionaries")
-        else {}
-    )
-    kb = load_entities(resolve(intent_raw["entities"])) if intent_raw.get("entities") else KnowledgeBase([])
-    classifiers = _build_classifiers(intent_raw.get("classifiers", []), corpus)
+    intent = raw["intent"]
+    space = IntentSpace(intent["space"])
     intent_config = IntentConfig(
         space=space,
-        patterns=patterns,
-        dictionaries=dictionaries,
-        kb=kb,
-        classifiers=classifiers,
-        link_threshold=float(intent_raw.get("link_threshold", 0.3)),
+        patterns=load_patterns(resolve(intent["patterns"])) if intent["patterns"] else [],
+        dictionaries=(load_dictionaries(resolve(intent["dictionaries"]))
+                      if intent["dictionaries"] else {}),
+        kb=load_entities(resolve(intent["entities"])) if intent["entities"] else KnowledgeBase([]),
+        classifiers=_build_classifiers(intent["classifiers"], corpus),
+        link_threshold=intent["link_threshold"],
         graph=corpus.graph,
     )
     intent_config.validate()
 
-    engagement_model = None
-    if raw.get("engagement_model"):
-        engagement_model = load_model(resolve(raw["engagement_model"]))
-
-    specs = specs_from_records(raw.get("components", []))
+    model_path = raw["engagement_model"]
+    engagement_model = load_model(resolve(model_path)) if model_path else None
     registry, generic_weights, intent_weights = build_registry(
-        specs, space, graph=corpus.graph, engagement_model=engagement_model, base_dir=base
+        raw["components"], space, graph=corpus.graph, engagement_model=engagement_model,
+        base_dir=base,
     )
-
-    ranker_raw = raw.get("ranker", {})
-    ranker_config = RankerConfig(
-        generic_weights=generic_weights,
-        intent_weights=intent_weights,
-        trigger_threshold=float(ranker_raw.get("trigger_threshold", 0.05)),
-        k_final=int(ranker_raw.get("k_final", 10)),
-    )
+    ranker_config = RankerConfig(generic_weights=generic_weights, intent_weights=intent_weights,
+                                 **raw["ranker"])
     ranker_config.validate()
 
-    query_log = load_query_log(resolve(raw["query_log"])) if raw.get("query_log") else []
-    judgments = load_judgments(resolve(raw["judgments"])) if raw.get("judgments") else []
+    query_log = load_query_log(resolve(raw["query_log"])) if raw["query_log"] else []
+    judgments = load_judgments(resolve(raw["judgments"])) if raw["judgments"] else []
     engagement_table = EngagementTable.from_log(query_log)
 
-    now_ts = raw.get("now_ts")
+    now_ts = raw["now_ts"]
     if now_ts is None:
         created = [d.created_ts for d in corpus.documents.values()]
         engaged = [
@@ -370,35 +385,28 @@ def load_engine(config_path: str | Path) -> EngineHandle:
         ranker_config=ranker_config,
         engagement_table=engagement_table,
         retrieval=retrieval,
-        now_ts=int(now_ts),
+        now_ts=now_ts,
         fingerprint=_engine_fingerprint(text),
         query_log=query_log,
         judgments=judgments,
-        bvt_suite_path=resolve(raw.get("bvt_suite")),
+        bvt_suite_path=resolve(raw["bvt_suite"]),
     )
 
 
 def _build_classifiers(records: Sequence[dict], corpus: Corpus) -> ClassifierRegistry:
     registry = ClassifierRegistry()
     for rec in records:
-        intent_id = rec["intent"]
-        kind = rec["kind"]
-        name = rec.get("name", kind)
-        params = rec.get("params", {})
+        kind, params = rec["kind"], rec["params"]
         if kind == "keyword":
-            fn = KeywordClassifier(params["keyword_confidence"])
+            fn = KeywordClassifier(**params)
         elif kind == "char_ngram":
-            fn = CharNgramClassifier(params["ngrams"], float(params.get("confidence", 0.6)))
-        elif kind == "friend_name":
+            fn = CharNgramClassifier(**params)
+        else:
             names = {
                 doc.author_id: doc.title
                 for doc in corpus.documents.values()
                 if doc.doc_type == "user" and doc.author_id
             }
             fn = FriendNameClassifier(names, corpus.graph)
-        else:
-            raise ConfigurationError(
-                f"unknown classifier kind {kind!r}; valid: keyword, char_ngram, friend_name"
-            )
-        registry.register(intent_id, name, fn)
+        registry.register(rec["intent"], kind if rec["name"] is None else rec["name"], fn)
     return registry

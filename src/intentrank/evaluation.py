@@ -19,7 +19,7 @@ from .corpus import QueryRecord, RelevanceJudgment, StructuredSuggestion, social
 from .engine import EngineHandle
 from .errors import IntentRankError, RecordParseError
 from .ranker import RankedList, RankerConfig, ScoreTable, combine
-from .records import RecordReader, read_records, write_records
+from .records import Field, Table, list_of, read_table, string, write_records
 
 log = logging.getLogger(__name__)
 
@@ -158,29 +158,22 @@ class BVTCase:
             raise ValueError(f"case {self.case_id!r} has no expectations")
 
 
-BVT_FIELDS = {"case_id", "query", "user_id", "intent_tag", "language_tag", "expectations"}
+BVT_CASE = Table(
+    lambda query, **fields: dict(fields, query_text=query),
+    Field("case_id", string), Field("query", string), Field("user_id", string),
+    Field("intent_tag", string, "generic"), Field("language_tag", string, "en"),
+    Field("expectations", list_of(string)),
+)
 
 
 def load_bvt_suite(path: str | Path) -> list[BVTCase]:
     cases = []
-    for line_no, rec in read_records(path):
-        reader = RecordReader(str(path), line_no, rec, BVT_FIELDS)
-        case_id = reader.take("case_id", required=True)
+    for line_no, rec in read_table(path, BVT_CASE):
         try:
-            expectations = tuple(
-                parse_expectation(t) for t in reader.take("expectations", required=True)
-            )
-            case = BVTCase(
-                case_id=case_id,
-                query_text=reader.take("query", required=True),
-                user_id=reader.take("user_id", required=True),
-                intent_tag=reader.take("intent_tag", "generic"),
-                language_tag=reader.take("language_tag", "en"),
-                expectations=expectations,
-            )
+            rec["expectations"] = tuple(parse_expectation(t) for t in rec["expectations"])
+            cases.append(BVTCase(**rec))
         except ValueError as exc:
-            raise RecordParseError(str(path), line_no, f"case {case_id!r}: {exc}") from exc
-        cases.append(case)
+            raise RecordParseError(str(path), line_no, f"case {rec['case_id']!r}: {exc}") from exc
     return cases
 
 
@@ -272,20 +265,14 @@ class BVTReport:
     def pass_rate(self) -> float:
         return self.passes / self.total if self.total else 0.0
 
-    def _rate_by(self, attr: str) -> dict[str, float]:
+    def pass_rate_by_intent(self) -> dict[str, float]:
         groups: dict[str, list[CaseResult]] = {}
         for result in self.results:
-            groups.setdefault(getattr(result, attr), []).append(result)
+            groups.setdefault(result.intent_tag, []).append(result)
         return {
             tag: sum(1 for r in rs if r.status == "pass") / len(rs)
             for tag, rs in sorted(groups.items())
         }
-
-    def pass_rate_by_intent(self) -> dict[str, float]:
-        return self._rate_by("intent_tag")
-
-    def pass_rate_by_language(self) -> dict[str, float]:
-        return self._rate_by("language_tag")
 
     def summary(self) -> str:
         lines = [f"BVT report: {self.passes}/{self.total} passed ({self.pass_rate():.1%})"]

@@ -126,9 +126,6 @@ class ShardedIndex:
         else:
             self.norms = np.zeros(len(self.doc_ids))
 
-    def doc_count(self) -> int:
-        return self.stats.n_docs
-
     def has_doc(self, doc_id: str) -> bool:
         return doc_id in self._row_of
 

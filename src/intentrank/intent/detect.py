@@ -23,7 +23,7 @@ from typing import Mapping, Optional
 from ..corpus import QueryContext, SocialGraph
 from ..errors import ConfigurationError
 from ..index import tokenize
-from ..records import RecordReader, read_records
+from ..records import EMPTY_SET, Field, Table, boolean, list_of, number, read_table, string
 from .classify import ClassifierRegistry
 from .linking import DEFAULT_LINK_THRESHOLD, LinkedSpan, link_entities, score_entity_span
 from .patterns import (
@@ -235,62 +235,46 @@ def _resolve_grammar(raw, matches) -> Optional[SpecialGrammar]:
     return None
 
 
-PATTERN_FIELDS = {"pattern_id", "pattern", "target_intent", "base_confidence", "grammar"}
-DICTIONARY_FIELDS = {"dictionary_id", "phrases"}
-ENTITY_FIELDS = {"entity_id", "entity_type", "aliases", "description_terms", "popularity"}
+GRAMMAR = Table(
+    SpecialGrammar,
+    Field("doc_type", string), Field("self_seen", boolean, False),
+    Field("window", string, None, choices=("yesterday", "past_week")),
+)
+
+PATTERN = Table(
+    lambda pattern, **fields: parse_pattern(source=pattern, **fields),
+    Field("pattern_id", string), Field("pattern", string), Field("target_intent", string),
+    Field("base_confidence", number, 0.8), Field("grammar", GRAMMAR, None),
+)
+
+DICTIONARY = Table(
+    lambda dictionary_id, phrases: Dictionary(
+        dictionary_id, frozenset(tuple(tokenize(phrase)) for phrase in phrases)),
+    Field("dictionary_id", string), Field("phrases", list_of(string)),
+)
+
+ENTITY = Table(
+    lambda aliases, **fields: EntityRecord(
+        aliases=frozenset(tuple(tokenize(alias)) for alias in aliases), **fields),
+    Field("entity_id", string), Field("entity_type", string), Field("aliases", list_of(string)),
+    Field("description_terms", list_of(string, frozenset), EMPTY_SET),
+    Field("popularity", number, 0.5),
+)
 
 
 def load_patterns(path: str | Path) -> list[QueryPattern]:
-    patterns = []
-    for line_no, rec in read_records(path):
-        reader = RecordReader(str(path), line_no, rec, PATTERN_FIELDS)
-        grammar_rec = reader.take("grammar")
-        grammar = None
-        if grammar_rec:
-            grammar = SpecialGrammar(
-                doc_type=grammar_rec["doc_type"],
-                self_seen=bool(grammar_rec.get("self_seen", False)),
-                window=grammar_rec.get("window"),
-            )
-        patterns.append(
-            parse_pattern(
-                source=reader.take("pattern", required=True),
-                pattern_id=reader.take("pattern_id", required=True),
-                target_intent=reader.take("target_intent", required=True),
-                base_confidence=float(reader.take("base_confidence", 0.8)),
-                grammar=grammar,
-            )
-        )
-    return patterns
+    return [pattern for _, pattern in read_table(path, PATTERN)]
 
 
 def load_dictionaries(path: str | Path) -> dict[str, Dictionary]:
     out: dict[str, Dictionary] = {}
-    for line_no, rec in read_records(path):
-        reader = RecordReader(str(path), line_no, rec, DICTIONARY_FIELDS)
-        did = reader.take("dictionary_id", required=True)
-        if did in out:
-            raise ConfigurationError(f"{path}:{line_no}: duplicate dictionary {did!r}")
-        phrases = frozenset(
-            tuple(tokenize(phrase)) for phrase in reader.take("phrases", required=True)
-        )
-        out[did] = Dictionary(dictionary_id=did, phrases=phrases)
+    for line_no, dictionary in read_table(path, DICTIONARY):
+        if dictionary.dictionary_id in out:
+            raise ConfigurationError(
+                f"{path}:{line_no}: duplicate dictionary {dictionary.dictionary_id!r}")
+        out[dictionary.dictionary_id] = dictionary
     return out
 
 
 def load_entities(path: str | Path) -> KnowledgeBase:
-    entities = []
-    for line_no, rec in read_records(path):
-        reader = RecordReader(str(path), line_no, rec, ENTITY_FIELDS)
-        entities.append(
-            EntityRecord(
-                entity_id=reader.take("entity_id", required=True),
-                entity_type=reader.take("entity_type", required=True),
-                aliases=frozenset(
-                    tuple(tokenize(alias)) for alias in reader.take("aliases", required=True)
-                ),
-                description_terms=frozenset(reader.take("description_terms", [])),
-                popularity=float(reader.take("popularity", 0.5)),
-            )
-        )
-    return KnowledgeBase(entities)
+    return KnowledgeBase([entity for _, entity in read_table(path, ENTITY)])

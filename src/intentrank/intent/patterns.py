@@ -14,7 +14,7 @@ match is found whenever any full-cover assignment exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from ..errors import ConfigurationError, PatternSyntaxError
@@ -104,12 +104,6 @@ class QueryPattern:
         names = [t.name for t in self.tokens if not isinstance(t, Literal)]
         if len(names) != len(set(names)):
             raise ConfigurationError(f"pattern {self.pattern_id!r}: duplicate slot names")
-
-    def slot_names(self) -> tuple[str, ...]:
-        return tuple(t.name for t in self.tokens if not isinstance(t, Literal))
-
-    def entity_slots(self) -> tuple[EntitySlot, ...]:
-        return tuple(t for t in self.tokens if isinstance(t, EntitySlot))
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .components.signals import SharedSignals
 from .corpus import Document, QueryContext
 from .errors import ConfigurationError, IntentRankError
 from .intent.space import IntentDistribution
+from .records import EMPTY_MAP, Field, Table, decode_config, integer, map_of, number
 
 DEFAULT_TRIGGER_THRESHOLD = 0.05
 
@@ -89,23 +90,26 @@ class RankerConfig:
         return RankerConfig(**data)
 
     def to_record(self) -> dict:
-        return {
-            "generic_weights": dict(sorted(self.generic_weights.items())),
-            "intent_weights": dict(sorted(self.intent_weights.items())),
-            "trigger_threshold": self.trigger_threshold,
-            "k_final": self.k_final,
-        }
+        return RANKER_WEIGHTS.encode(self)
 
     @classmethod
     def from_record(cls, rec: Mapping) -> "RankerConfig":
-        config = cls(
-            generic_weights={k: float(v) for k, v in rec.get("generic_weights", {}).items()},
-            intent_weights={k: float(v) for k, v in rec.get("intent_weights", {}).items()},
-            trigger_threshold=float(rec.get("trigger_threshold", DEFAULT_TRIGGER_THRESHOLD)),
-            k_final=int(rec.get("k_final", 10)),
-        )
-        config.validate()
-        return config
+        return decode_config(RANKER_WEIGHTS, rec, "ranker weights")
+
+
+def _validated(**fields) -> RankerConfig:
+    config = RankerConfig(**fields)
+    config.validate()
+    return config
+
+
+#: a ranker weights file; the engine config's "ranker" key holds only the knobs
+RANKER_WEIGHTS = Table(
+    _validated,
+    Field("generic_weights", map_of(number), EMPTY_MAP),
+    Field("intent_weights", map_of(number), EMPTY_MAP),
+    Field("trigger_threshold", number, DEFAULT_TRIGGER_THRESHOLD), Field("k_final", integer, 10),
+)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .engine import EngineHandle
 from .errors import ConfigurationError, IntentRankError
 from .evaluation import BVTCase, TableMemo, mean_ndcg, run_bvts, sgcr_replay
 from .ranker import RankerConfig
+from .records import Field, Table, decode_config, integer, list_of, number, string
 
 log = logging.getLogger(__name__)
 
@@ -92,28 +93,28 @@ class TuneSpec:
 
     @classmethod
     def from_record(cls, rec: Mapping) -> "TuneSpec":
-        params = []
-        for entry in rec["free_params"]:
-            grid_rec = entry["grid"]
-            grid = GridSpec(
-                lo=float(grid_rec.get("lo", 0.0)),
-                hi=float(grid_rec.get("hi", 0.0)),
-                factor=float(grid_rec.get("factor", 2.0)),
-                points=tuple(float(p) for p in grid_rec.get("points", ())),
-            )
-            params.append((entry["path"], grid))
-        objective = rec.get("objective", {})
-        return cls(
-            free_params=tuple(params),
-            alpha_sgcr=float(objective.get("sgcr", 1.0 / 3.0)),
-            beta_ndcg=float(objective.get("ndcg", 1.0 / 3.0)),
-            gamma_bvt=float(objective.get("bvt", 1.0 / 3.0)),
-            metric_k=int(rec.get("metric_k", 10)),
-            budget=int(rec.get("budget", 64)),
-            restarts=int(rec.get("restarts", 0)),
-            seed=int(rec.get("seed", 0)),
-            guardrail_epsilon=float(rec.get("guardrail_epsilon", 0.02)),
-        )
+        return decode_config(TUNE_SPEC, rec, "tune spec")
+
+
+GRID = Table(
+    GridSpec,
+    Field("lo", number, 0.0), Field("hi", number, 0.0), Field("factor", number, 2.0),
+    Field("points", list_of(number), ()),
+)
+
+FREE_PARAM = Table(lambda path, grid: (path, grid), Field("path", string), Field("grid", GRID))
+
+OBJECTIVE = Table(
+    dict, Field("sgcr", number, 1 / 3), Field("ndcg", number, 1 / 3), Field("bvt", number, 1 / 3))
+
+TUNE_SPEC = Table(
+    lambda objective, **fields: TuneSpec(
+        alpha_sgcr=objective["sgcr"], beta_ndcg=objective["ndcg"], gamma_bvt=objective["bvt"],
+        **fields),
+    Field("free_params", list_of(FREE_PARAM)), Field("objective", OBJECTIVE, OBJECTIVE({})),
+    Field("metric_k", integer, 10), Field("budget", integer, 64), Field("restarts", integer, 0),
+    Field("seed", integer, 0), Field("guardrail_epsilon", number, 0.02),
+)
 
 
 def get_weight(config: RankerConfig, path: str) -> float:

@@ -36,6 +36,12 @@ def mk_user(user_id, languages=("en",), **kwargs):
     return UserContext(user_id=user_id, languages=tuple(languages), **kwargs)
 
 
+def add_friends(graph, a, b):
+    """Insert a symmetric friend edge pair."""
+    graph.add_edge(a, b, "friend")
+    graph.add_edge(b, a, "friend")
+
+
 def mk_corpus(docs=(), users=(), edges=()) -> Corpus:
     graph = SocialGraph()
     for src, dst, label in edges:

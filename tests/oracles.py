@@ -2,14 +2,18 @@
 
 Everything here is deliberately written from the definitions, against raw
 inputs (edge lists, raw texts, permutations), without touching the package's
-data structures, so a bug cannot hide in both paths at once.
+data structures, so a bug cannot hide in both paths at once. The input
+loaders at the end are the exception: they build the package's classes, so
+that their output can be compared with the decoder's.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import re
+from pathlib import Path
 
 
 # --------------------------------------------------------------------- #
@@ -467,3 +471,209 @@ def social_relations_walk(graph, searcher, doc):
     if graph.has_edge(searcher, doc.doc_id, "pending_join"):
         rels.add("pending_joining")
     return rels
+
+
+# --------------------------------------------------------------------- #
+# input loaders as written before the field-table decoder: one hand-written
+# coercion per record kind over raw JSON. They build the package's own
+# classes, so their output can be compared with the decoder's for equality.
+
+
+def _raw_records(path):
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                yield json.loads(line)
+
+
+def _loc(loc):
+    return (float(loc[0]), float(loc[1])) if loc else None
+
+
+def document_oracle(rec):
+    from intentrank.corpus import Document, EngagementCounters, QualitySignals
+
+    q = rec.get("quality", {})
+    e = rec.get("engagement", {})
+    return Document(
+        doc_id=rec["doc_id"],
+        doc_type=rec["doc_type"],
+        title=rec.get("title", ""),
+        body=rec.get("body", ""),
+        author_id=rec.get("author_id"),
+        publisher_id=rec.get("publisher_id"),
+        languages={str(k): float(v) for k, v in rec.get("languages", {}).items()},
+        location=_loc(rec.get("location")),
+        created_ts=int(rec.get("created_ts", 0)),
+        entity_ids=frozenset(rec.get("entity_ids", [])),
+        quality=QualitySignals(
+            kids_friendly=float(q.get("kids_friendly", 1.0)),
+            authentic=float(q.get("authentic", 1.0)),
+            authoritative=float(q.get("authoritative", 0.5)),
+            readability=float(q.get("readability", 0.5)),
+            video_resolution=(float(q["video_resolution"])
+                              if q.get("video_resolution") is not None else None),
+            policy_reject=bool(q.get("policy_reject", False)),
+        ),
+        engagement=EngagementCounters(
+            impressions=int(e.get("impressions", 0)),
+            clicks=int(e.get("clicks", 0)),
+            good_clicks=int(e.get("good_clicks", 0)),
+        ),
+    )
+
+
+def user_oracle(rec):
+    from intentrank.corpus import UserContext
+
+    return UserContext(
+        user_id=rec["user_id"],
+        languages=tuple(rec.get("languages", [])),
+        location=_loc(rec.get("location")),
+        engaged_doc_ids={str(k): int(v) for k, v in rec.get("engaged_doc_ids", {}).items()},
+    )
+
+
+def load_corpus_oracle(root):
+    """(documents, users, edge triples in SocialGraph.edges() order) of a corpus directory."""
+    root = Path(root)
+    docs = {d.doc_id: d for d in map(document_oracle, _raw_records(root / "documents.jsonl"))}
+    users = {u.user_id: u for u in map(user_oracle, _raw_records(root / "users.jsonl"))}
+    edges = sorted({(r["src"], r["dst"], r["label"]) for r in _raw_records(root / "edges.jsonl")},
+                   key=lambda e: (e[0], e[2], e[1]))
+    return docs, users, edges
+
+
+def load_query_log_oracle(path):
+    from intentrank.corpus import QueryRecord, StructuredSuggestion
+
+    out = []
+    for rec in _raw_records(path):
+        sug = rec.get("suggestion_click")
+        out.append(QueryRecord(
+            query_text=rec["query_text"],
+            user_id=rec["user_id"],
+            ts=int(rec.get("ts", 0)),
+            shown_doc_ids=tuple(rec.get("shown_doc_ids", [])),
+            clicked=frozenset(rec.get("clicked", [])),
+            good_clicked=frozenset(rec.get("good_clicked", [])),
+            suggestion_click=(StructuredSuggestion(sug["entity_id"], sug["intent_id"])
+                              if sug else None),
+        ))
+    return out
+
+
+def load_judgments_oracle(path):
+    from intentrank.corpus import GRADE_NAMES, RelevanceJudgment
+
+    out = []
+    for rec in _raw_records(path):
+        grade = rec["grade"]
+        if isinstance(grade, str):
+            grade = GRADE_NAMES.get(grade.lower(), -1)
+        out.append(RelevanceJudgment(rec["query_text"], rec["user_id"], rec["doc_id"],
+                                     int(grade)))
+    return out
+
+
+def load_bvt_suite_oracle(path):
+    from intentrank.evaluation import BVTCase, parse_expectation
+
+    return [
+        BVTCase(
+            case_id=rec["case_id"],
+            query_text=rec["query"],
+            user_id=rec["user_id"],
+            intent_tag=rec.get("intent_tag", "generic"),
+            language_tag=rec.get("language_tag", "en"),
+            expectations=tuple(parse_expectation(t) for t in rec["expectations"]),
+        )
+        for rec in _raw_records(path)
+    ]
+
+
+def load_patterns_oracle(path):
+    from intentrank.intent.patterns import SpecialGrammar, parse_pattern
+
+    out = []
+    for rec in _raw_records(path):
+        g = rec.get("grammar")
+        grammar = (SpecialGrammar(g["doc_type"], bool(g.get("self_seen", False)),
+                                  g.get("window")) if g else None)
+        out.append(parse_pattern(source=rec["pattern"], pattern_id=rec["pattern_id"],
+                                 target_intent=rec["target_intent"],
+                                 base_confidence=float(rec.get("base_confidence", 0.8)),
+                                 grammar=grammar))
+    return out
+
+
+def load_dictionaries_oracle(path):
+    from intentrank.index import tokenize
+    from intentrank.intent.patterns import Dictionary
+
+    return {
+        rec["dictionary_id"]: Dictionary(
+            rec["dictionary_id"], frozenset(tuple(tokenize(p)) for p in rec["phrases"]))
+        for rec in _raw_records(path)
+    }
+
+
+def load_entities_oracle(path):
+    from intentrank.index import tokenize
+    from intentrank.intent.patterns import EntityRecord
+
+    return [
+        EntityRecord(
+            entity_id=rec["entity_id"],
+            entity_type=rec["entity_type"],
+            aliases=frozenset(tuple(tokenize(a)) for a in rec["aliases"]),
+            description_terms=frozenset(rec.get("description_terms", [])),
+            popularity=float(rec.get("popularity", 0.5)),
+        )
+        for rec in _raw_records(path)
+    ]
+
+
+def ranker_config_oracle(engine_config):
+    """The RankerConfig an engine config defines: component weights plus ranker knobs."""
+    from intentrank.ranker import DEFAULT_TRIGGER_THRESHOLD, RankerConfig
+
+    generic, intent = {}, {}
+    for rec in engine_config.get("components", []):
+        weight = float(rec.get("weight", 1.0))
+        if rec["kind"] in ("friend_intent", "grammar_intent", "video_publisher") \
+                or rec.get("scope") == "intent_specific":
+            intent[rec["intent"]] = weight
+        else:
+            generic[rec["component_id"]] = weight
+    knobs = engine_config.get("ranker", {})
+    return RankerConfig(
+        generic_weights=generic,
+        intent_weights=intent,
+        trigger_threshold=float(knobs.get("trigger_threshold", DEFAULT_TRIGGER_THRESHOLD)),
+        k_final=int(knobs.get("k_final", 10)),
+    )
+
+
+def tune_spec_oracle(rec):
+    from intentrank.tuning import GridSpec, TuneSpec
+
+    params = []
+    for entry in rec["free_params"]:
+        g = entry["grid"]
+        params.append((entry["path"], GridSpec(
+            lo=float(g.get("lo", 0.0)), hi=float(g.get("hi", 0.0)),
+            factor=float(g.get("factor", 2.0)),
+            points=tuple(float(p) for p in g.get("points", ())))))
+    objective = rec.get("objective", {})
+    return TuneSpec(
+        free_params=tuple(params),
+        alpha_sgcr=float(objective.get("sgcr", 1.0 / 3.0)),
+        beta_ndcg=float(objective.get("ndcg", 1.0 / 3.0)),
+        gamma_bvt=float(objective.get("bvt", 1.0 / 3.0)),
+        metric_k=int(rec.get("metric_k", 10)),
+        budget=int(rec.get("budget", 64)),
+        restarts=int(rec.get("restarts", 0)),
+        seed=int(rec.get("seed", 0)),
+        guardrail_epsilon=float(rec.get("guardrail_epsilon", 0.02)),
+    )

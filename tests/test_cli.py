@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import threading
 from urllib.request import urlopen
 from urllib.error import HTTPError
@@ -96,6 +97,51 @@ class TestIngest:
         code, _, err = run_cli(capsys, "ingest", "--corpus", str(corpus))
         assert code == 2
         assert "duplicate" in err
+
+
+class TestInputErrors:
+    """A one-field type change to the replay fixture is caught at load, with exit 2."""
+
+    @pytest.mark.parametrize("file, key, value", [
+        ("corpus/documents.jsonl", ("title",), 7),
+        ("corpus/documents.jsonl", ("doc_id",), 5),
+        ("corpus/documents.jsonl", ("quality",), [1]),
+        ("corpus/documents.jsonl", ("created_ts",), "x"),
+        ("corpus/documents.jsonl", ("languages",), ["en"]),
+        ("corpus/documents.jsonl", ("location",), "ab"),
+        ("corpus/documents.jsonl", ("quality", "authentic"), "hi"),
+        ("engine.json", ("retrieval", "k"), "x"),
+        ("engine.json", ("retrieval", "num_shards"), 2.5),
+        ("engine.json", ("ranker", "k_final"), "x"),
+        ("engine.json", ("ranker", "trigger_threshold"), "x"),
+        ("engine.json", ("intent", "link_threshold"), [1]),
+        ("engine.json", ("intent", "space"), "abc"),
+        ("corpus/users.jsonl", ("languages",), "en"),
+        ("query_log.jsonl", ("shown_doc_ids",), "doc001"),
+    ])
+    def test_one_field_type_change_exits_2_naming_its_place(
+            self, capsys, replay_dir, tmp_path, file, key, value):
+        root = tmp_path / "fx"
+        shutil.copytree(replay_dir, root)
+        path = root / file
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        rec = json.loads("".join(lines) if file == "engine.json" else lines[0])
+        target = rec
+        for part in key[:-1]:
+            target = target[part]
+        target[key[-1]] = value
+        if file == "engine.json":
+            path.write_text(json.dumps(rec), encoding="utf-8")
+            place = f"engine.json: key '{'.'.join(key)}'"
+        else:
+            lines[0] = json.dumps(rec) + "\n"
+            path.write_text("".join(lines), encoding="utf-8")
+            place = f"{path.name}:1: field '{'.'.join(key)}'"
+        code, out, err = run_cli(capsys, "search", "subject0 aspect20", "--user", "u0",
+                                 "--config", str(root / "engine.json"))
+        assert code == 2, err
+        assert out == ""
+        assert place in err
 
 
 class TestSearch:

@@ -373,7 +373,7 @@ class TestRegistry:
         registry, gw, iw = build_registry(self.specs(), SPACE)
         assert gw == {"text": 1.0, "social": 0.5}
         assert iw == {"friend": 2.0}
-        assert registry.component_for_intent("friend").component_id == "friend_match"
+        assert registry.intent_specific["friend"].component_id == "friend_match"
 
     def test_full_default_config_counts(self, demo_engine):
         assert len(demo_engine.registry.generic) == 6

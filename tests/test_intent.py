@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mk_ctx, mk_user
+from conftest import add_friends, mk_ctx, mk_user
 
 from intentrank.corpus import SocialGraph, StructuredSuggestion
 from intentrank.errors import ConfigurationError, InvariantError
@@ -106,7 +106,7 @@ class TestClassifiers:
 
     def test_friend_full_name_scores_high(self):
         graph = SocialGraph()
-        graph.add_friends("u_me", "u_pal")
+        add_friends(graph, "u_me", "u_pal")
         clf = FriendNameClassifier({"u_pal": "Sam Lee", "u_other": "Ann Roe"}, graph)
         assert clf("sam lee", mk_user("u_me")) >= 0.8
         assert clf("ann roe", mk_user("u_me")) == 0.0  # not a friend
@@ -114,7 +114,7 @@ class TestClassifiers:
 
     def test_matching_friend_identity(self):
         graph = SocialGraph()
-        graph.add_friends("u_me", "u_pal")
+        add_friends(graph, "u_me", "u_pal")
         clf = FriendNameClassifier({"u_pal": "Sam Lee"}, graph)
         assert clf.matching_friend("sam lee", mk_user("u_me")) == ("u_pal", 0.9)
 
@@ -223,7 +223,7 @@ class TestDetect:
             EntityRecord("u_pal", "person", frozenset({("sam", "lee")}), popularity=0.1),
         ])
         graph = SocialGraph()
-        graph.add_friends("u_me", "u_pal")
+        add_friends(graph, "u_me", "u_pal")
         registry = ClassifierRegistry()
         registry.register("friend", "fn",
                           FriendNameClassifier({"u_pal": "Sam Lee"}, graph))

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import mk_user
+from conftest import add_friends, mk_user
 
 from intentrank.corpus import SocialGraph
 from intentrank.intent.linking import jaccard, link_entities, score_entity_span
@@ -56,7 +56,7 @@ class TestLinkEntities:
         ])
         user = mk_user("u_me")
         graph = SocialGraph()
-        graph.add_friends("u_me", "u_pal")
+        add_friends(graph, "u_me", "u_pal")
         without = link_entities(["sam", "lee"], kb, user, graph=None, threshold=0.0)
         with_floor = link_entities(["sam", "lee"], kb, user, graph=graph, threshold=0.0)
         assert with_floor[0].score > without[0].score
