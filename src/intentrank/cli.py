@@ -103,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="heuristic weight search with guardrails")
     p.add_argument("--spec", required=True, help="tune spec JSON path")
     _add_common(p)
+    p.set_defaults(seed=None)  # no flag keeps the spec's seed; --seed 0 overrides it
 
     p = sub.add_parser("synth", help="generate a synthetic fixture directory")
     p.add_argument("--kind", required=True, choices=sorted(FIXTURE_BUILDERS))
@@ -269,7 +270,7 @@ def cmd_abtest(args) -> int:
 def cmd_tune(args) -> int:
     engine = load_engine(args.config)
     spec = read_config(args.spec, TUNE_SPEC)
-    if args.seed:
+    if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     suite = load_bvt_suite(engine.bvt_suite_path) if engine.bvt_suite_path else []
     assets = TuneAssets.from_engine(engine, suite)

@@ -10,16 +10,14 @@ from .generic import (
     Scorer,
     SocialRelevanceScorer,
     TextRelevanceScorer,
-    document_quality,
     haversine_km,
     language_match_value,
-    location_relevance_value,
+    location_decay,
     min_cover_window,
     proximity_score,
     social_relevance_value,
     squash,
     text_relevance_value,
-    title_hit_ratio,
 )
 from .intent_specific import (
     FriendIntentScorer,
@@ -36,9 +34,9 @@ from .engagement import (
     TrainParams,
     TrainReport,
     auc_score,
-    extract_features,
     load_model,
     loss_and_gradient,
+    resolve_features,
     save_model,
     sigmoid,
     train_engagement,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -23,10 +22,11 @@ from ..records import Field, Table, list_of, number, read_config, string
 from .generic import (
     DEFAULT_LOCATION_TAU_KM,
     DEFAULT_RELATION_WEIGHTS,
+    Scorer,
+    location_decay,
     social_relevance_value,
     squash,
 )
-from .generic import Scorer
 from .signals import SharedSignals
 
 log = logging.getLogger(__name__)
@@ -39,9 +39,7 @@ FEATURE_EXTRACTORS: dict[str, Callable[[SharedSignals], float]] = {
     "proximity": lambda s: s.proximity,
     "title_hit_ratio": lambda s: s.title_hit_ratio,
     "social": lambda s: social_relevance_value(s.relations, DEFAULT_RELATION_WEIGHTS),
-    "location": lambda s: (
-        0.0 if s.distance_km is None else float(np.exp(-s.distance_km / DEFAULT_LOCATION_TAU_KM))
-    ),
+    "location": lambda s: location_decay(s.distance_km, DEFAULT_LOCATION_TAU_KM),
     "language": lambda s: s.language_overlap,
     "quality": lambda s: s.quality_mean,
     "ctr_qd": lambda s: s.ctr_qd(),
@@ -55,31 +53,32 @@ DEFAULT_FEATURES = (
 )
 
 
-def feature_extractor(name: str) -> Optional[Callable[[SharedSignals], float]]:
-    """The extractor behind a feature name, or None for an unknown name."""
-    if name in FEATURE_EXTRACTORS:
-        return FEATURE_EXTRACTORS[name]
-    if name.startswith(INTENT_FEATURE_PREFIX):
-        intent_id = name[len(INTENT_FEATURE_PREFIX):]
-        return lambda s: s.intents.get(intent_id) if s.intents is not None else 0.0
-    return None
+def _intent_feature(intent_id: str) -> Callable[[SharedSignals], float]:
+    return lambda s: s.intents.get(intent_id) if s.intents is not None else 0.0
 
 
-def extract_features(
-    names: Sequence[str], signals: SharedSignals, warnings: Optional[Counter] = None
-) -> np.ndarray:
-    """Feature vector in declared order; unknown names become 0 with a warning."""
-    values = np.zeros(len(names), dtype=np.float64)
-    for i, name in enumerate(names):
-        extractor = feature_extractor(name)
-        if extractor is not None:
-            values[i] = extractor(signals)
-        else:
-            if warnings is not None:
-                warnings[name] += 1
-            if warnings is None or warnings[name] == 1:
+def resolve_features(names: Sequence[str]) -> tuple[Callable[[SharedSignals], float], ...]:
+    """One extractor per feature name, in order; an unknown name reads as 0,
+    with one warning per distinct name."""
+    extractors = []
+    unknown: set[str] = set()
+    for name in names:
+        extractor = FEATURE_EXTRACTORS.get(name)
+        if extractor is None and name.startswith(INTENT_FEATURE_PREFIX):
+            extractor = _intent_feature(name[len(INTENT_FEATURE_PREFIX):])
+        if extractor is None:
+            if name not in unknown:
                 log.warning("unknown engagement feature %r treated as 0", name)
-    return values
+                unknown.add(name)
+            extractor = lambda s: 0.0
+        extractors.append(extractor)
+    return tuple(extractors)
+
+
+def feature_vector(extractors: Sequence[Callable[[SharedSignals], float]],
+                   signals: SharedSignals) -> np.ndarray:
+    """The resolved features of one candidate, in declared order."""
+    return np.array([extractor(signals) for extractor in extractors], dtype=np.float64)
 
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -123,33 +122,20 @@ def load_model(path: str | Path) -> EngagementModel:
     return read_config(path, MODEL)
 
 
-def _zero(signals: SharedSignals) -> float:
-    return 0.0
-
-
 class EngagementScorer(Scorer):
     """Logistic engagement probability as a ranking component.
 
-    The model's feature names are resolved once, here; unknown names are
-    warned about once and read as 0. Scoring reads no mutable state, so one
-    scorer is safe to share across threads.
+    The model's feature names are resolved once, here. Scoring reads no
+    mutable state, so one scorer is safe to share across threads.
     """
 
     def __init__(self, component_id: str = "engagement", model: Optional[EngagementModel] = None):
         super().__init__(component_id)
         self.model = model if model is not None else EngagementModel.zeros(DEFAULT_FEATURES)
-        extractors = []
-        for name in self.model.features:
-            extractor = feature_extractor(name)
-            if extractor is None:
-                log.warning("unknown engagement feature %r treated as 0", name)
-                extractor = _zero
-            extractors.append(extractor)
-        self._extractors = tuple(extractors)
+        self._extractors = resolve_features(self.model.features)
 
     def score(self, ctx: QueryContext, doc: Document, signals: SharedSignals) -> float:
-        x = np.array([extractor(signals) for extractor in self._extractors], dtype=np.float64)
-        return self.model.predict(x)
+        return self.model.predict(feature_vector(self._extractors, signals))
 
 
 def loss_and_gradient(
@@ -208,15 +194,15 @@ def build_training_matrix(
     feature_names: Sequence[str],
 ) -> tuple[np.ndarray, np.ndarray]:
     """(X, y) over every shown document; label is good-clicked membership."""
+    extractors = resolve_features(feature_names)
     rows = []
     labels = []
-    warnings: Counter = Counter()
     for rec in log_records:
         for doc_id in rec.shown_doc_ids:
             signals = signals_for(rec, doc_id)
             if signals is None:
                 continue
-            rows.append(extract_features(feature_names, signals, warnings))
+            rows.append(feature_vector(extractors, signals))
             labels.append(1.0 if doc_id in rec.good_clicked else 0.0)
     if not rows:
         raise IntentRankError("query log produced no training examples")

@@ -1,8 +1,11 @@
 """Generic scoring components, useful regardless of query intent.
 
 Every component maps into [0,1] so the combiner's weights alone carry
-scale. Each scorer has a pure value function (testable against independent
-oracles) plus a thin class reading SharedSignals for the ranking pipeline.
+scale. Each scorer is a thin class reading SharedSignals for the ranking
+pipeline. Where a value has a formula, the formula is defined once here and
+shared by the scorer and the engagement feature of the same name; the
+reference implementations the tests check them against live in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional, Sequence
 
-from ..corpus import Document, QualitySignals, QueryContext
+from ..corpus import Document, QueryContext
 from ..errors import ConfigurationError
 from .signals import SharedSignals
 
@@ -85,11 +88,13 @@ def proximity_score(query_tokens: Sequence[str], positions_by_term: Mapping[str,
     return 1.0 / (1.0 + max(0, window - len(terms)))
 
 
-def title_hit_ratio(query_tokens: Sequence[str], title_tokens: Sequence[str]) -> float:
-    terms = set(query_tokens)
-    if not terms:
-        return 0.0
-    return len(terms & set(title_tokens)) / len(terms)
+def _check_text_mix(mix: Sequence[float]) -> None:
+    if len(mix) != 3 or any(w < 0 for w in mix) or abs(sum(mix) - 1.0) > 1e-9:
+        raise ConfigurationError(f"text mix weights must be 3 nonnegative values summing to 1, got {mix}")
+
+
+def _text_mix(bm25: float, proximity: float, title_ratio: float, mix: Sequence[float]) -> float:
+    return mix[0] * squash(bm25) + mix[1] * proximity + mix[2] * title_ratio
 
 
 def text_relevance_value(
@@ -98,9 +103,8 @@ def text_relevance_value(
     title_ratio: float,
     mix: Sequence[float] = DEFAULT_TEXT_MIX,
 ) -> float:
-    if len(mix) != 3 or any(w < 0 for w in mix) or abs(sum(mix) - 1.0) > 1e-9:
-        raise ConfigurationError(f"text mix weights must be 3 nonnegative values summing to 1, got {mix}")
-    return mix[0] * squash(bm25) + mix[1] * proximity + mix[2] * title_ratio
+    _check_text_mix(mix)
+    return _text_mix(bm25, proximity, title_ratio, mix)
 
 
 def social_relevance_value(
@@ -120,14 +124,11 @@ def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
-def location_relevance_value(
-    user_location: Optional[tuple[float, float]],
-    doc_location: Optional[tuple[float, float]],
-    tau_km: float = DEFAULT_LOCATION_TAU_KM,
-) -> float:
-    if user_location is None or doc_location is None:
+def location_decay(distance_km: Optional[float], tau_km: float) -> float:
+    """exp(-distance / tau); 0 when either side has no location (distance None)."""
+    if distance_km is None:
         return 0.0
-    return math.exp(-haversine_km(user_location, doc_location) / tau_km)
+    return math.exp(-distance_km / tau_km)
 
 
 def language_match_value(user_languages: Sequence[str], doc_languages: Mapping[str, float]) -> float:
@@ -136,16 +137,8 @@ def language_match_value(user_languages: Sequence[str], doc_languages: Mapping[s
     return max((doc_languages.get(code, 0.0) for code in user_languages), default=0.0)
 
 
-def document_quality(quality: QualitySignals) -> tuple[float, bool]:
-    """(mean of available sub-scores, policy_reject pass-through)."""
-    return quality.mean, quality.policy_reject
-
-
 class Scorer:
     """Base scoring component: pure (ctx, doc, signals) -> [0,1]."""
-
-    scope = "generic"
-    intent: Optional[str] = None
 
     def __init__(self, component_id: str):
         self.component_id = component_id
@@ -157,13 +150,12 @@ class Scorer:
 class TextRelevanceScorer(Scorer):
     def __init__(self, component_id: str = "text_relevance", mix: Sequence[float] = DEFAULT_TEXT_MIX):
         super().__init__(component_id)
-        text_relevance_value(0.0, 0.0, 0.0, mix)  # validate early
+        _check_text_mix(mix)
         self.mix = tuple(mix)
 
     def score(self, ctx, doc, signals):
-        return text_relevance_value(
-            signals.first_pass_bm25, signals.proximity, signals.title_hit_ratio, self.mix
-        )
+        return _text_mix(signals.first_pass_bm25, signals.proximity, signals.title_hit_ratio,
+                         self.mix)
 
 
 class SocialRelevanceScorer(Scorer):
@@ -187,9 +179,7 @@ class LocationRelevanceScorer(Scorer):
         self.tau_km = tau_km
 
     def score(self, ctx, doc, signals):
-        if signals.distance_km is None:
-            return 0.0
-        return math.exp(-signals.distance_km / self.tau_km)
+        return location_decay(signals.distance_km, self.tau_km)
 
 
 class LanguageMatchScorer(Scorer):
@@ -205,8 +195,7 @@ class DocumentQualityScorer(Scorer):
         super().__init__(component_id)
 
     def score(self, ctx, doc, signals):
-        value, _ = document_quality(doc.quality)
-        return value
+        return doc.quality.mean
 
 
 class PassthroughScorer(Scorer):

@@ -34,9 +34,6 @@ def friend_intent_value(doc: Document, friend_id: Optional[str], graph: Optional
 
 
 class FriendIntentScorer(Scorer):
-    scope = "intent"
-    intent = "friend"
-
     def __init__(self, component_id: str = "friend_match", graph: Optional[SocialGraph] = None):
         super().__init__(component_id)
         self.graph = graph
@@ -56,16 +53,13 @@ def grammar_intent_value(ctx: QueryContext, doc: Document, signals: SharedSignal
         ts = ctx.user.engaged_doc_ids.get(doc.doc_id)
         if ts is None:
             return 0.0
-        window = grammar_window(grammar.window, signals.now_ts or ctx.ts)
+        window = grammar_window(grammar.window, ctx.ts)
         if window is not None and not window[0] <= ts < window[1]:
             return 0.0
     return 1.0
 
 
 class GrammarIntentScorer(Scorer):
-    scope = "intent"
-    intent = "special_grammar"
-
     def __init__(self, component_id: str = "grammar_match"):
         super().__init__(component_id)
 
@@ -87,9 +81,6 @@ def video_publisher_value(doc: Document, publisher_entity: Optional[str],
 
 
 class VideoPublisherScorer(Scorer):
-    scope = "intent"
-    intent = "video_publisher"
-
     MODES = ("binary", "good_click_weighted")
 
     def __init__(self, component_id: str = "publisher_match", mode: str = "binary"):

@@ -123,7 +123,6 @@ def build_registry(
                     f"component {spec.component_id!r}: intent {intent_id!r} is not a "
                     f"detectable intent in the space"
                 )
-            scorer.intent = intent_id
             registry.add_intent_specific(intent_id, scorer)
             intent_weights[intent_id] = spec.weight
         else:

@@ -1,8 +1,12 @@
 """Per-candidate precomputed features shared by all scoring components.
 
-Built once per (query, document) pair, read-only afterward, so scorers stay
-pure and cheap. Carries both the retrieval-stage features and the detection
-captures the intent-specific scorers need.
+`EngineHandle.build_signals` builds one per (query, document) pair that gets
+scored, never for a policy-rejected document. They are read-only afterward,
+so scorers stay pure and cheap. Every field is read by a scorer or an
+engagement feature. They are the retrieval-stage features (the title-hit
+ratio comes from the index's positions, not from re-tokenizing the title),
+the document's mean quality and click counts, and the detection captures the
+intent-specific scorers need. The query time is `QueryContext.ts`, not a field here.
 """
 
 from __future__ import annotations
@@ -25,14 +29,12 @@ class SharedSignals:
     language_overlap: float = 0.0
     quality_mean: float = 0.0
     pair_counts: PairCounts = field(default_factory=PairCounts)
-    doc_impressions: int = 0
     doc_clicks: int = 0
     doc_good_clicks: int = 0
     intents: Optional[IntentDistribution] = None
     friend_target: Optional[str] = None
     publisher_entity: Optional[str] = None
     grammar: Optional[SpecialGrammar] = None
-    now_ts: int = 0
 
     def ctr_qd(self) -> float:
         if self.pair_counts.impressions == 0:

@@ -18,6 +18,7 @@ after load and safe for concurrent reads.
 from __future__ import annotations
 
 import logging
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -222,6 +223,9 @@ class SocialGraph:
     def __init__(self) -> None:
         self._out: dict[str, dict[str, set[str]]] = {}
         self._in: dict[str, dict[str, set[str]]] = {}
+        # edgeless searchers already warned about; serve's threads share it
+        self._warned: set[str] = set()
+        self._warned_lock = threading.Lock()
 
     def add_edge(self, src: str, dst: str, label: str) -> None:
         if label not in EDGE_LABELS:
@@ -248,10 +252,14 @@ class SocialGraph:
 
         The view refers to the graph's own neighbour sets rather than
         copying them; the graph is not modified after load. An unknown
-        searcher gets an empty view and one warning.
+        searcher gets an empty view, and the first view of each one warns.
         """
         if not self.knows(searcher):
-            log.warning("searcher %r has no edges in the social graph", searcher)
+            with self._warned_lock:
+                first = searcher not in self._warned
+                self._warned.add(searcher)
+            if first:
+                log.warning("searcher %r has no edges in the social graph", searcher)
         out = self._out.get(searcher, {})
         into = self._in.get(searcher, {})
         friends = out.get("friend", frozenset())

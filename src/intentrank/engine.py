@@ -37,13 +37,7 @@ from .corpus import (
     load_query_log,
     social_relations,
 )
-from .components.generic import (
-    document_quality,
-    haversine_km,
-    language_match_value,
-    proximity_score,
-    title_hit_ratio,
-)
+from .components.generic import haversine_km, language_match_value, proximity_score
 from .errors import IntentRankError
 from .index import Candidate, ShardedIndex, build_index, retrieve, tokenize
 from .intent.classify import (
@@ -196,37 +190,32 @@ class EngineHandle:
         first_pass: float,
         detection: Optional[DetectionResult],
     ) -> SharedSignals:
+        """Signals of one candidate; `ctx` comes from `context_for`, which
+        builds the searcher's graph view once per query."""
         positions = {
             term: self.index.positions(term, doc.doc_id) for term in set(query_tokens)
         }
-        view = ctx.graph_view
-        if view is None:
-            # A context made without context_for: build the view here, which
-            # costs one view per candidate rather than one per query.
-            view = self.corpus.graph.searcher_view(ctx.user.user_id)
-        relations = frozenset(social_relations(view, doc))
+        # the token stream starts with the title, and positions ascend
+        title_end = self.index.title_length(doc.doc_id)
+        title_hits = sum(1 for found in positions.values() if found and found[0] < title_end)
         distance = None
         if ctx.user.location is not None and doc.location is not None:
             distance = haversine_km(ctx.user.location, doc.location)
-        pair = self.engagement_table.get(ctx.query_text, doc.doc_id)
-        quality_mean, _ = document_quality(doc.quality)
         return SharedSignals(
             first_pass_bm25=first_pass,
             proximity=proximity_score(query_tokens, positions),
-            title_hit_ratio=title_hit_ratio(query_tokens, tokenize(doc.title)),
-            relations=relations,
+            title_hit_ratio=title_hits / len(positions) if positions else 0.0,
+            relations=frozenset(social_relations(ctx.graph_view, doc)),
             distance_km=distance,
             language_overlap=language_match_value(ctx.user.languages, doc.languages),
-            quality_mean=quality_mean,
-            pair_counts=pair,
-            doc_impressions=doc.engagement.impressions,
+            quality_mean=doc.quality.mean,
+            pair_counts=self.engagement_table.get(ctx.query_text, doc.doc_id),
             doc_clicks=doc.engagement.clicks,
             doc_good_clicks=doc.engagement.good_clicks,
             intents=detection.distribution if detection is not None else None,
             friend_target=detection.friend_target if detection is not None else None,
             publisher_entity=detection.publisher_entity if detection is not None else None,
             grammar=detection.grammar if detection is not None else None,
-            now_ts=self.now_ts,
         )
 
     def search(
@@ -267,7 +256,9 @@ class EngineHandle:
         inputs = []
         for cand in candidates:
             doc = self.corpus.documents[cand.doc_id]
-            signals = self.build_signals(ctx, tokens, doc, cand.first_pass_score, detection)
+            # the ranker filters a policy-rejected doc before scoring
+            signals = None if doc.quality.policy_reject else self.build_signals(
+                ctx, tokens, doc, cand.first_pass_score, detection)
             inputs.append((doc, signals))
         table = build_table(ctx, inputs, detection.distribution, self.registry)
         ranked = combine(table, ranker_config, query_id=query_text)

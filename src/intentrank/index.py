@@ -8,8 +8,9 @@ merge is a deterministic reduction over (score desc, doc_id asc).
 
 The postings are stored column-wise (see `ShardedIndex`), so one query
 scores every matching document with one numpy pass per query term. Token
-positions are kept in the postings so the term-proximity feature can be
-computed without re-reading raw text.
+positions are kept in the postings, and each title's token count per row,
+so the term-proximity and title-hit features can be computed without
+re-reading raw text.
 """
 
 from __future__ import annotations
@@ -90,15 +91,17 @@ class ShardedIndex:
 
     Row `r` is the r-th document in ascending doc_id order, so ordering by
     row is ordering by doc_id. Per row: `shard_ids` (the shard the document
-    hashes to), `doc_lengths` and `norms`, the BM25 length normalisation
-    `k1 * (1 - b + b * len / avgdl)`. A term's postings are
+    hashes to), `doc_lengths`, `title_lengths` (the title's share of the
+    token stream, which starts with the title) and `norms`, the BM25 length
+    normalisation `k1 * (1 - b + b * len / avgdl)`. A term's postings are
     `doc_rows[lo:hi]` (ascending) and `tfs[lo:hi]`, with
     `(lo, hi) = term_spans[term]`; posting `j` has its token positions at
     `flat_positions[pos_offsets[j]:pos_offsets[j + 1]]`.
     """
 
     def __init__(self, num_shards: int, doc_ids: Sequence[str], shard_ids: np.ndarray,
-                 doc_lengths: np.ndarray, term_spans: dict[str, tuple[int, int]],
+                 doc_lengths: np.ndarray, title_lengths: np.ndarray,
+                 term_spans: dict[str, tuple[int, int]],
                  doc_rows: np.ndarray, tfs: np.ndarray, pos_offsets: np.ndarray,
                  flat_positions: np.ndarray, stats: GlobalStats,
                  k1: float = 1.2, b: float = 0.75) -> None:
@@ -106,6 +109,7 @@ class ShardedIndex:
         self.doc_ids = tuple(doc_ids)
         self.shard_ids = shard_ids
         self.doc_lengths = doc_lengths
+        self.title_lengths = title_lengths
         self.term_spans = term_spans
         self.doc_rows = doc_rows
         self.tfs = tfs
@@ -120,6 +124,7 @@ class ShardedIndex:
         self._rows_view = memoryview(doc_rows)
         self._offsets_view = memoryview(pos_offsets)
         self._positions_view = memoryview(flat_positions)
+        self._title_lengths_view = memoryview(title_lengths)
         if stats.avgdl > 0:
             # same operations, in the same order, as first_pass_score's norm
             self.norms = k1 * (1.0 - b + b * doc_lengths / stats.avgdl)
@@ -145,6 +150,11 @@ class ShardedIndex:
         lo, hi = span
         j = bisect.bisect_left(self._rows_view, row, lo, hi)
         return j if j < hi and self._rows_view[j] == row else None
+
+    def title_length(self, doc_id: str) -> int:
+        """Tokens in the document's title: a term occurs in the title iff its
+        first position is below this."""
+        return self._title_lengths_view[self._row_of[doc_id]]
 
     def positions(self, term: str, doc_id: str) -> tuple[int, ...]:
         """Positions of `term` in the document's title+body token stream."""
@@ -194,9 +204,8 @@ def build_index(
     num_shards: int = 1,
     k1: float = 1.2,
     b: float = 0.75,
-    fields: tuple[str, ...] = ("title", "body"),
 ) -> ShardedIndex:
-    """Tokenize and shard the corpus; global stats cover every document."""
+    """Tokenize title then body and shard the corpus; global stats cover every document."""
     if num_shards < 1:
         raise ConfigurationError(f"num_shards must be >= 1, got {num_shards}")
     if k1 <= 0:
@@ -207,10 +216,12 @@ def build_index(
     term_ids: dict[str, int] = {}
     tokens = array("i")  # term id of every token, documents in row order
     lengths = np.zeros(len(doc_ids), dtype=np.int64)
+    title_lengths = np.zeros(len(doc_ids), dtype=np.int64)
     for row, doc_id in enumerate(doc_ids):
         doc = corpus.documents[doc_id]
-        stream = ((tokenize(doc.title) if "title" in fields else [])
-                  + (tokenize(doc.body) if "body" in fields else []))
+        title = tokenize(doc.title)
+        stream = title + tokenize(doc.body)
+        title_lengths[row] = len(title)
         lengths[row] = len(stream)
         tokens.extend([term_ids.setdefault(term, len(term_ids)) for term in stream])
 
@@ -233,7 +244,7 @@ def build_index(
     stats = GlobalStats(n_docs=n, df={term: hi - lo for term, (lo, hi) in term_spans.items()},
                         avgdl=(total_len / n) if n else 0.0)
     shard_ids = np.array([shard_of(doc_id, num_shards) for doc_id in doc_ids], dtype=np.int32)
-    return ShardedIndex(num_shards, doc_ids, shard_ids, lengths, term_spans,
+    return ShardedIndex(num_shards, doc_ids, shard_ids, lengths, title_lengths, term_spans,
                         doc_rows=tok_row[starts], tfs=np.diff(pos_offsets).astype(np.int32),
                         pos_offsets=pos_offsets, flat_positions=tok_pos.astype(np.int32),
                         stats=stats, k1=k1, b=b)

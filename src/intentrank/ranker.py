@@ -31,7 +31,6 @@ from typing import Optional
 
 import numpy as np
 
-from .components.generic import document_quality
 from .components.registry import ComponentRegistry
 from .components.signals import SharedSignals
 from .corpus import Document, QueryContext
@@ -224,17 +223,18 @@ class ScoreTable:
 
 def build_table(
     ctx: QueryContext,
-    scored_inputs: Sequence[tuple[Document, SharedSignals]],
+    scored_inputs: Sequence[tuple[Document, Optional[SharedSignals]]],
     intents: IntentDistribution,
     registry: ComponentRegistry,
 ) -> ScoreTable:
     """Run each generic component, and each intent component whose P(t|q) > 0,
-    once on every candidate that passes policy."""
+    once on every candidate that passes policy. A policy-rejected candidate's
+    signals are never read, so they may be None."""
     n = len(scored_inputs)
     quality = np.zeros(n)
     rejected = np.zeros(n, dtype=bool)
     for row, (doc, _) in enumerate(scored_inputs):
-        quality[row], rejected[row] = document_quality(doc.quality)
+        quality[row], rejected[row] = doc.quality.mean, doc.quality.policy_reject
     kept = [(row, doc, signals) for row, (doc, signals) in enumerate(scored_inputs)
             if not rejected[row]]
 
@@ -372,7 +372,7 @@ def _build_traces(table: ScoreTable, config: RankerConfig) -> dict[str, ScoreTra
 
 def rank(
     ctx: QueryContext,
-    scored_inputs: Sequence[tuple[Document, SharedSignals]],
+    scored_inputs: Sequence[tuple[Document, Optional[SharedSignals]]],
     intents: IntentDistribution,
     registry: ComponentRegistry,
     config: RankerConfig,

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from intentrank.corpus import (
@@ -102,4 +106,31 @@ def replay_dir(tmp_path_factory):
 def engagement_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("engagement_fixture")
     write_fixture(build_engagement_training(), out)
+    return out
+
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def bench_module(name):
+    """benchmarks/<name>.py, imported unedited and once, as module bench_<name>."""
+    key = f"bench_{name}"
+    module = sys.modules.get(key)
+    if module is None:
+        spec = importlib.util.spec_from_file_location(key, BENCHMARKS / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def bench_fixtures(tmp_path_factory):
+    """workload -> (engine dir, plan) for the benchmark's own generator at seed 7."""
+    out = {}
+    for name in ("serve_zipf", "tune_ab"):
+        fx, plan = bench_module("gen").BUILDERS[name](7)
+        root = tmp_path_factory.mktemp(name)
+        write_fixture(fx, root)
+        out[name] = (root, plan)
     return out

@@ -238,6 +238,26 @@ def central_difference_gradient(f, x, h=1e-6):
 
 
 # --------------------------------------------------------------------- #
+# text and location features from raw tokens and coordinates; the engine
+# reads the first from the index's positions and the second from a distance
+
+
+def title_hit_ratio(query_tokens, title_tokens):
+    """Share of the distinct query terms that occur among the title's tokens."""
+    terms = set(query_tokens)
+    if not terms:
+        return 0.0
+    return len(terms & set(title_tokens)) / len(terms)
+
+
+def location_relevance_value(user_location, doc_location, tau_km=50.0):
+    """exp(-d / tau) over the atan2 distance; 0 when either side has no location."""
+    if user_location is None or doc_location is None:
+        return 0.0
+    return math.exp(-haversine_oracle(user_location, doc_location) / tau_km)
+
+
+# --------------------------------------------------------------------- #
 # score combination: one document at a time, the way the ranker used to
 # score before it split into build_table + combine
 

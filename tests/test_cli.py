@@ -367,6 +367,27 @@ class TestTuneCommand:
         assert record["trajectory"]
 
 
+    def test_explicit_seed_zero_overrides_spec_seed(self, capsys, demo_dir, tmp_path):
+        def run(spec_seed, *flags):
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({
+                "free_params": [
+                    {"path": "generic_weights.language", "grid": {"points": [0.25, 0.75, 1.5]}},
+                    {"path": "generic_weights.social", "grid": {"points": [0.25, 1.0, 2.0]}},
+                ],
+                "objective": {"sgcr": 0.5, "ndcg": 0.5, "bvt": 0.0},
+                "budget": 30, "restarts": 3, "seed": spec_seed,
+            }), encoding="utf-8")
+            out_path = tmp_path / "result.json"
+            code, _, _ = run_cli(capsys, "tune", "--config", str(demo_dir / "engine.json"),
+                                 "--spec", str(spec), *flags, "--out", str(out_path))
+            assert code == 0
+            return out_path.read_bytes()
+
+        spec_seed = run(5)
+        assert run(5, "--seed", "0") == run(0) != spec_seed
+
+
 class TestSynthCommand:
     def test_writes_fixture_with_manifest(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "synth", "--kind", "language",

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
 from conftest import mk_ctx, mk_doc, mk_user
-from oracles import haversine_oracle, min_window_oracle
+from oracles import haversine_oracle, location_relevance_value, min_window_oracle, title_hit_ratio
 
 from intentrank.corpus import EngagementCounters, PairCounts, QualitySignals, SocialGraph
 from intentrank.components.generic import (
@@ -19,16 +18,14 @@ from intentrank.components.generic import (
     PassthroughScorer,
     SocialRelevanceScorer,
     TextRelevanceScorer,
-    document_quality,
     haversine_km,
     language_match_value,
-    location_relevance_value,
+    location_decay,
     min_cover_window,
     proximity_score,
     social_relevance_value,
     squash,
     text_relevance_value,
-    title_hit_ratio,
 )
 from intentrank.components.intent_specific import (
     FriendIntentScorer,
@@ -129,9 +126,12 @@ class TestSocialRelevance:
 
 class TestLocationRelevance:
     def test_same_point_full_score(self):
+        assert location_decay(haversine_km((10.0, 20.0), (10.0, 20.0)), 50.0) == 1.0
         assert location_relevance_value((10.0, 20.0), (10.0, 20.0)) == 1.0
 
     def test_missing_side_scores_zero(self):
+        assert location_decay(None, 50.0) == 0.0
+        assert LocationRelevanceScorer().score(None, None, SharedSignals(distance_km=None)) == 0.0
         assert location_relevance_value(None, (1.0, 2.0)) == 0.0
         assert location_relevance_value((1.0, 2.0), None) == 0.0
 
@@ -155,9 +155,10 @@ class TestLocationRelevance:
             assert haversine_km(a, b) == pytest.approx(haversine_km(b, a), abs=1e-12)
 
     def test_decay_scale(self):
-        value = location_relevance_value((0.0, 0.0), (0.0, 0.45), tau_km=50.0)
-        expected = math.exp(-haversine_oracle((0.0, 0.0), (0.0, 0.45)) / 50.0)
-        assert value == pytest.approx(expected, abs=1e-9)
+        scorer = LocationRelevanceScorer(tau_km=50.0)
+        signals = SharedSignals(distance_km=haversine_km((0.0, 0.0), (0.0, 0.45)))
+        expected = location_relevance_value((0.0, 0.0), (0.0, 0.45), tau_km=50.0)
+        assert scorer.score(None, None, signals) == pytest.approx(expected, abs=1e-9)
 
 
 class TestLanguageMatch:
@@ -175,21 +176,26 @@ class TestLanguageMatch:
 
 
 class TestDocumentQuality:
+    def quality_score(self, quality):
+        return DocumentQualityScorer().score(None, mk_doc("d", quality=quality), SharedSignals())
+
     def test_all_ones(self):
         q = QualitySignals(1.0, 1.0, 1.0, 1.0)
-        assert document_quality(q) == (1.0, False)
+        assert (q.mean, q.policy_reject) == (1.0, False)
+        assert self.quality_score(q) == 1.0
 
     def test_policy_reject_passthrough(self):
         q = QualitySignals(1.0, 1.0, 1.0, 1.0, policy_reject=True)
-        assert document_quality(q)[1] is True
+        assert q.policy_reject is True
 
     def test_mean_of_available_subscores(self):
         q = QualitySignals(0.5, 1.0, 0.9, 0.6)
-        assert document_quality(q)[0] == pytest.approx(0.75)
+        assert q.mean == pytest.approx(0.75)
+        assert self.quality_score(q) == q.mean
 
     def test_video_resolution_included_when_present(self):
         q = QualitySignals(0.5, 1.0, 0.9, 0.6, video_resolution=0.5)
-        assert document_quality(q)[0] == pytest.approx((0.5 + 1.0 + 0.9 + 0.6 + 0.5) / 5)
+        assert q.mean == pytest.approx((0.5 + 1.0 + 0.9 + 0.6 + 0.5) / 5)
 
 
 class TestIntentSpecific:
@@ -212,8 +218,8 @@ class TestIntentSpecific:
         assert friend_intent_value(doc, "u_pal", SocialGraph()) == 0.0
         assert friend_intent_value(doc, None, None) == 0.0
 
-    def grammar_signals(self, grammar, now_ts=1_750_000_000):
-        return SharedSignals(grammar=grammar, now_ts=now_ts)
+    def grammar_signals(self, grammar):
+        return SharedSignals(grammar=grammar)
 
     def test_grammar_seen_post(self):
         grammar = SpecialGrammar("post", self_seen=True)
@@ -241,8 +247,9 @@ class TestIntentSpecific:
         doc = mk_doc("d_vid", doc_type="video")
         inside = mk_user("u", engaged_doc_ids={"d_vid": day_start - 43200})
         outside = mk_user("u", engaged_doc_ids={"d_vid": day_start - 3 * 86400})
-        assert grammar_intent_value(mk_ctx("q", inside), doc, self.grammar_signals(grammar, now)) == 1.0
-        assert grammar_intent_value(mk_ctx("q", outside), doc, self.grammar_signals(grammar, now)) == 0.0
+        signals = self.grammar_signals(grammar)
+        assert grammar_intent_value(mk_ctx("q", inside, ts=now), doc, signals) == 1.0
+        assert grammar_intent_value(mk_ctx("q", outside, ts=now), doc, signals) == 0.0
 
     def test_publisher_binary(self):
         doc = mk_doc("d_vid", doc_type="video", publisher_id="pub1")
@@ -277,7 +284,6 @@ def random_signals(rng):
         friend_target=rng.choice([None, "u_pal"]),
         publisher_entity=rng.choice([None, "pub1"]),
         grammar=rng.choice([None, SpecialGrammar("post", self_seen=rng.random() < 0.5)]),
-        now_ts=1_750_000_000,
     )
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -209,6 +211,41 @@ class TestSocialRelations:
         with caplog.at_level("WARNING"):
             result = engine.search(record.query_text, record.user_id)
         assert len(result.candidates) > 1
+        warnings = [r.getMessage() for r in caplog.records if "has no edges" in r.getMessage()]
+        assert warnings == [f"searcher {record.user_id!r} has no edges in the social graph"]
+
+    def test_edgeless_warning_survives_concurrent_views(self, caplog):
+        graph = self.graph_of([("a", "b", "follow")])
+        start = threading.Barrier(8)
+
+        ghosts = [f"ghost{i}" for i in range(2000)]
+
+        def views():
+            start.wait(timeout=10)
+            for ghost in ghosts:
+                graph.searcher_view(ghost)
+
+        threads = [threading.Thread(target=views) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with caplog.at_level("WARNING"):
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        warned = sorted(r.getMessage() for r in caplog.records)
+        assert warned == sorted(f"searcher {g!r} has no edges in the social graph" for g in ghosts)
+
+    def test_edgeless_searcher_warns_once_per_graph(self, caplog, replay_dir):
+        engine = load_engine(replay_dir / "engine.json")
+        record = next(r for r in engine.query_log if not engine.corpus.graph.knows(r.user_id))
+        with caplog.at_level("WARNING"):
+            engine.search(record.query_text, record.user_id)
+            engine.search(record.query_text, record.user_id)
         warnings = [r.getMessage() for r in caplog.records if "has no edges" in r.getMessage()]
         assert warnings == [f"searcher {record.user_id!r} has no edges in the social graph"]
 

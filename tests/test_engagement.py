@@ -12,9 +12,10 @@ from intentrank.components.engagement import (
     EngagementScorer,
     TrainParams,
     auc_score,
-    extract_features,
+    feature_vector,
     load_model,
     loss_and_gradient,
+    resolve_features,
     save_model,
     sigmoid,
     train_engagement,
@@ -49,28 +50,31 @@ class TestModelArithmetic:
         assert load_model(tmp_path / "m.json") == model
 
 
+def extract(names, signals):
+    return feature_vector(resolve_features(names), signals)
+
+
 class TestFeatureExtraction:
     def test_known_features(self):
         signals = SharedSignals(first_pass_bm25=1.0, title_hit_ratio=0.5)
-        out = extract_features(("bm25_squashed", "title_hit_ratio"), signals)
+        out = extract(("bm25_squashed", "title_hit_ratio"), signals)
         assert out[0] == pytest.approx(0.5)
         assert out[1] == pytest.approx(0.5)
 
-    def test_unknown_feature_zero_with_warning_counter(self):
-        from collections import Counter
-
-        warnings = Counter()
-        signals = SharedSignals()
-        out = extract_features(("made_up",), signals, warnings)
-        assert out[0] == 0.0
-        assert warnings["made_up"] == 1
+    def test_unknown_feature_zero_with_warning_counter(self, caplog):
+        with caplog.at_level("WARNING", logger="intentrank.components.engagement"):
+            out = extract(("made_up", "quality", "made_up"), SharedSignals(quality_mean=0.5))
+        assert out.tolist() == [0.0, 0.5, 0.0]
+        assert [r.getMessage() for r in caplog.records] == [
+            "unknown engagement feature 'made_up' treated as 0"]
 
     def test_intent_feature(self):
         from intentrank.intent.space import IntentDistribution
 
         signals = SharedSignals(intents=IntentDistribution({"friend": 0.7, "generic": 0.3}))
-        out = extract_features(("intent:friend", "intent:news"), signals)
+        out = extract(("intent:friend", "intent:news"), signals)
         assert out.tolist() == [0.7, 0.0]
+        assert extract(("intent:friend",), SharedSignals()).tolist() == [0.0]
 
 
 class TestEngagementScorer:
@@ -192,6 +196,15 @@ class TestTraining:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+    def test_unknown_feature_warns_once_per_training_run(self, caplog):
+        with caplog.at_level("WARNING", logger="intentrank.components.engagement"):
+            model, _ = train_engagement(
+                self.make_log(), self.signals_fn({"good": 1.0, "bad": 0.0}),
+                ("made_up", "title_hit_ratio"), TrainParams(iterations=50))
+        assert [r.getMessage() for r in caplog.records] == [
+            "unknown engagement feature 'made_up' treated as 0"]
+        assert model.weights[0] == 0.0 < model.weights[1]
 
     def test_end_to_end_on_planted_history_fixture(self, engagement_dir):
         engine = load_engine(engagement_dir / "engine.json")

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
 
 import pytest
 
-from intentrank.engine import load_engine
+from oracles import title_hit_ratio
+
+import intentrank.engine as engine_mod
+from intentrank import index as index_mod
+from intentrank.corpus import SocialGraph
+from intentrank.engine import EngineHandle, load_engine
 from intentrank.errors import ConfigurationError, IntentRankError
+from intentrank.index import Candidate, tokenize
 from intentrank.ranker import RankerConfig
 
 
@@ -134,15 +142,90 @@ class TestSearchPipeline:
         result = demo_engine.search("taylor swift", "u_alice")
         assert len(result.candidates) <= demo_engine.retrieval.k
 
+    def test_self_history_overlap_is_one_candidate(self, demo_engine, monkeypatch):
+        # retrieval also finds one of the searcher's engaged posts
+        retrieved = [Candidate("d_post_bob", 1.5), Candidate("d_page_tswift", 1.0)]
+        monkeypatch.setattr(engine_mod, "retrieve", lambda *args, **kwargs: list(retrieved))
+        result = demo_engine.search("posts i have seen", "u_alice")
+        assert result.detection.grammar.self_seen
+        engaged = set(demo_engine.corpus.users["u_alice"].engaged_doc_ids)
+        ids = [c.doc_id for c in result.candidates]
+        assert "d_post_bob" in engaged
+        assert len(ids) == len(set(ids)) == len({c.doc_id for c in retrieved} | engaged)
+        assert result.candidates[0] == retrieved[0]  # the retrieved copy is the one kept
+        ranked = result.ranked.doc_ids()
+        assert len(ranked) == len(set(ranked))
+
+    @pytest.mark.parametrize("fixture", ["demo_dir", "replay_dir", "engagement_dir"])
+    def test_title_hits_from_index_match_retokenized_titles(self, fixture, request):
+        engine = load_engine(request.getfixturevalue(fixture) / "engine.json")
+        checked = 0
+        for record in engine.query_log:
+            if record.user_id not in engine.corpus.users:
+                continue
+            ctx = engine.context_for(record.query_text, record.user_id)
+            tokens = tokenize(record.query_text)
+            for cand in engine.search(record.query_text, record.user_id).candidates:
+                doc = engine.corpus.documents[cand.doc_id]
+                signals = engine.build_signals(ctx, tokens, doc, cand.first_pass_score, None)
+                assert signals.title_hit_ratio == title_hit_ratio(tokens, tokenize(doc.title))
+                checked += 1
+        assert checked > 0
+
+
+class TestWorkPerSearch:
+    """Call counts of one search; nothing here is timed."""
+
+    @staticmethod
+    def count(monkeypatch, owner, name, calls):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def test_one_graph_view_and_one_detection(self, demo_engine, monkeypatch):
+        views, detections = [], []
+        self.count(monkeypatch, SocialGraph, "searcher_view", views)
+        self.count(monkeypatch, engine_mod, "detect", detections)
+        result = demo_engine.search("taylor swift", "u_alice")
+        assert len(result.candidates) > 1
+        assert len(views) == len(detections) == 1
+
+    def test_tokenize_calls_do_not_grow_with_candidates(self, demo_engine, monkeypatch):
+        calls, tokenize_fn = [], index_mod.tokenize
+        for module in [m for name, m in sys.modules.items() if name.startswith("intentrank")]:
+            if getattr(module, "tokenize", None) is tokenize_fn:
+                self.count(monkeypatch, module, "tokenize", calls)
+        sizes, counts = [], []
+        for k in (1, demo_engine.retrieval.k):
+            monkeypatch.setattr(demo_engine, "retrieval",
+                                dataclasses.replace(demo_engine.retrieval, k=k))
+            calls.clear()
+            sizes.append(len(demo_engine.search("taylor swift", "u_alice").candidates))
+            counts.append(len(calls))
+        assert sizes[0] < sizes[1]
+        assert counts[0] == counts[1] > 0
+
+    def test_no_signals_for_policy_rejected_candidates(self, demo_engine, monkeypatch):
+        built = []
+        self.count(monkeypatch, EngineHandle, "build_signals", built)
+        result = demo_engine.search("taylor swift", "u_alice")
+        docs = demo_engine.corpus.documents
+        candidates = {c.doc_id for c in result.candidates}
+        rejected = {d for d in candidates if docs[d].quality.policy_reject}
+        assert rejected == {"d_post_spam"}
+        # build_signals(self, ctx, tokens, doc, first_pass, detection)
+        assert sorted(args[3].doc_id for args in built) == sorted(candidates - rejected)
+
 
 class TestTrainingSignals:
     def test_detects_once_per_record(self, replay_dir, monkeypatch):
-        import intentrank.engine as engine_mod
         from intentrank.components.engagement import (
             DEFAULT_FEATURES, TrainParams, train_engagement,
         )
-        from intentrank.corpus import QueryContext
-        from intentrank.index import tokenize
 
         engine = load_engine(replay_dir / "engine.json")
         calls = []
@@ -160,10 +243,9 @@ class TestTrainingSignals:
 
         def detect_per_doc(record, doc_id):
             doc = engine.corpus.documents.get(doc_id)
-            user = engine.corpus.users.get(record.user_id)
-            if doc is None or user is None:
+            if doc is None or record.user_id not in engine.corpus.users:
                 return None
-            ctx = QueryContext(record.query_text, user, record.suggestion_click, ts=engine.now_ts)
+            ctx = engine.context_for(record.query_text, record.user_id, record.suggestion_click)
             tokens = tokenize(record.query_text)
             return engine.build_signals(ctx, tokens, doc, engine.index.score_doc(tokens, doc_id),
                                         original(ctx, engine.intent_config))

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import copy
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -45,10 +42,7 @@ from intentrank.records import (
     read_table,
     string,
 )
-from intentrank.synth import write_fixture
 from intentrank.tuning import TUNE_SPEC, TuneSpec
-
-BENCH_GEN = Path(__file__).resolve().parents[1] / "benchmarks" / "gen.py"
 
 
 def write_lines(path, records):
@@ -380,28 +374,6 @@ def test_one_swapped_field_fails_at_its_position_or_decodes_equal(swap_root, cas
 
 # --------------------------------------------------------------------- #
 # the decoder against the hand-written loaders it replaced
-
-
-def _bench_gen():
-    module = sys.modules.get("bench_gen")
-    if module is None:
-        spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules["bench_gen"] = module
-        spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def bench_fixtures(tmp_path_factory):
-    """workload -> (engine dir, plan) for the benchmark's own generator at seed 7."""
-    out = {}
-    for name in ("serve_zipf", "tune_ab"):
-        fx, plan = _bench_gen().BUILDERS[name](7)
-        root = tmp_path_factory.mktemp(name)
-        write_fixture(fx, root)
-        out[name] = (root, plan)
-    return out
 
 
 SYNTH_DIRS = ("demo_dir", "publisher_dir", "language_dir", "guardrail_dir", "replay_dir",
