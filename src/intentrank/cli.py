@@ -144,7 +144,7 @@ def cmd_index(args) -> int:
 def _render_ranked(engine: EngineHandle, result) -> str:
     lines = [
         f"# query={result.ranked.query_id!r} config={result.ranked.config_fingerprint} "
-        f"candidates={len(result.candidates)}"
+        f"candidates={len(result.frame)}"
     ]
     for pos, item in enumerate(result.ranked.items, start=1):
         doc = engine.corpus.documents[item.doc_id]
@@ -316,20 +316,30 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self):
         url = urlparse(self.path)
-        params = {k: v[0] for k, v in parse_qs(url.query).items()}
+        params = {k: v[0] for k, v in parse_qs(url.query, keep_blank_values=True).items()}
         try:
             if url.path == "/search":
-                result = self.engine.search(params["q"], params["user"])
+                result = self.engine.search(_param(params, "q"), _param(params, "user"))
                 self._send(200, _render_ranked(self.engine, result) + "\n")
             elif url.path == "/explain":
-                result = self.engine.search(params["q"], params["user"])
-                self._send(200, explain(result.ranked, params["doc"]))
+                result = self.engine.search(_param(params, "q"), _param(params, "user"))
+                self._send(200, explain(result.ranked, _param(params, "doc")))
             else:
                 self._send(404, f"unknown path {url.path}\n")
         except KeyError as exc:
             self._send(400, f"missing query parameter {exc}\n")
         except IntentRankError as exc:
             self._send(400, f"error: {exc}\n")
+        except Exception as exc:  # the server keeps serving; the client learns it failed
+            print(f"internal error: {url.path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            self._send(500, "internal error\n")
+
+
+def _param(params: dict, name: str) -> str:
+    value = params[name]
+    if not value:
+        raise IntentRankError(f"empty query parameter {name!r}")
+    return value
 
 
 def make_server(engine: EngineHandle, host: str, port: int) -> ThreadingHTTPServer:

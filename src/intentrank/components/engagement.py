@@ -12,7 +12,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -23,28 +23,52 @@ from .generic import (
     DEFAULT_LOCATION_TAU_KM,
     DEFAULT_RELATION_WEIGHTS,
     Scorer,
+    location_column,
     location_decay,
+    social_column,
     social_relevance_value,
     squash,
 )
 from .signals import SharedSignals
 
+if TYPE_CHECKING:
+    from ..frame import CandidateFrame
+
 log = logging.getLogger(__name__)
 
 INTENT_FEATURE_PREFIX = "intent:"
 
-#: name -> extractor over SharedSignals; every value already lives in [0,1].
-FEATURE_EXTRACTORS: dict[str, Callable[[SharedSignals], float]] = {
-    "bm25_squashed": lambda s: squash(s.first_pass_bm25),
-    "proximity": lambda s: s.proximity,
-    "title_hit_ratio": lambda s: s.title_hit_ratio,
-    "social": lambda s: social_relevance_value(s.relations, DEFAULT_RELATION_WEIGHTS),
-    "location": lambda s: location_decay(s.distance_km, DEFAULT_LOCATION_TAU_KM),
-    "language": lambda s: s.language_overlap,
-    "quality": lambda s: s.quality_mean,
-    "ctr_qd": lambda s: s.ctr_qd(),
-    "good_ctr_qd": lambda s: s.good_ctr_qd(),
-    "doc_good_ctr": lambda s: s.doc_good_ctr(),
+
+@dataclass(frozen=True)
+class Feature:
+    """One engagement feature, read from one candidate's signals (`extract`)
+    or from every row of a frame (`column`); both give the same bits."""
+
+    extract: Callable[[SharedSignals], float]
+    column: Callable[["CandidateFrame"], np.ndarray]
+
+
+def _ratio_or_zero(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    return np.divide(num, den, out=np.zeros(len(num)), where=den != 0)
+
+
+#: name -> feature; every value already lives in [0,1].
+FEATURES: dict[str, Feature] = {
+    "bm25_squashed": Feature(lambda s: squash(s.first_pass_bm25), lambda f: squash(f.first_pass)),
+    "proximity": Feature(lambda s: s.proximity, lambda f: f.proximity),
+    "title_hit_ratio": Feature(lambda s: s.title_hit_ratio, lambda f: f.title_hit_ratio),
+    "social": Feature(lambda s: social_relevance_value(s.relations, DEFAULT_RELATION_WEIGHTS),
+                      lambda f: social_column(f, DEFAULT_RELATION_WEIGHTS)),
+    "location": Feature(lambda s: location_decay(s.distance_km, DEFAULT_LOCATION_TAU_KM),
+                        lambda f: location_column(f, DEFAULT_LOCATION_TAU_KM)),
+    "language": Feature(lambda s: s.language_overlap, lambda f: f.language_overlap),
+    "quality": Feature(lambda s: s.quality_mean, lambda f: f.quality),
+    "ctr_qd": Feature(lambda s: s.ctr_qd(),
+                      lambda f: _ratio_or_zero(f.pair_clicks, f.pair_impressions)),
+    "good_ctr_qd": Feature(lambda s: s.good_ctr_qd(),
+                           lambda f: f.pair_good_clicks / (f.pair_clicks + 1)),
+    "doc_good_ctr": Feature(lambda s: s.doc_good_ctr(),
+                            lambda f: f.doc_good_clicks / (f.doc_clicks + 1)),
 }
 
 DEFAULT_FEATURES = (
@@ -52,33 +76,35 @@ DEFAULT_FEATURES = (
     "quality", "ctr_qd", "good_ctr_qd",
 )
 
-
-def _intent_feature(intent_id: str) -> Callable[[SharedSignals], float]:
-    return lambda s: s.intents.get(intent_id) if s.intents is not None else 0.0
+ZERO_FEATURE = Feature(lambda s: 0.0, lambda f: np.zeros(len(f)))
 
 
-def resolve_features(names: Sequence[str]) -> tuple[Callable[[SharedSignals], float], ...]:
-    """One extractor per feature name, in order; an unknown name reads as 0,
-    with one warning per distinct name."""
-    extractors = []
+def _intent_feature(intent_id: str) -> Feature:
+    return Feature(lambda s: s.intents.get(intent_id) if s.intents is not None else 0.0,
+                   lambda f: np.full(len(f), f.detection.distribution.get(intent_id)))
+
+
+def resolve_features(names: Sequence[str]) -> tuple[Feature, ...]:
+    """One feature per name, in order; an unknown name reads as 0, with one
+    warning per distinct name."""
+    features = []
     unknown: set[str] = set()
     for name in names:
-        extractor = FEATURE_EXTRACTORS.get(name)
-        if extractor is None and name.startswith(INTENT_FEATURE_PREFIX):
-            extractor = _intent_feature(name[len(INTENT_FEATURE_PREFIX):])
-        if extractor is None:
+        feature = FEATURES.get(name)
+        if feature is None and name.startswith(INTENT_FEATURE_PREFIX):
+            feature = _intent_feature(name[len(INTENT_FEATURE_PREFIX):])
+        if feature is None:
             if name not in unknown:
                 log.warning("unknown engagement feature %r treated as 0", name)
                 unknown.add(name)
-            extractor = lambda s: 0.0
-        extractors.append(extractor)
-    return tuple(extractors)
+            feature = ZERO_FEATURE
+        features.append(feature)
+    return tuple(features)
 
 
-def feature_vector(extractors: Sequence[Callable[[SharedSignals], float]],
-                   signals: SharedSignals) -> np.ndarray:
+def feature_vector(features: Sequence[Feature], signals: SharedSignals) -> np.ndarray:
     """The resolved features of one candidate, in declared order."""
-    return np.array([extractor(signals) for extractor in extractors], dtype=np.float64)
+    return np.array([feature.extract(signals) for feature in features], dtype=np.float64)
 
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -102,6 +128,16 @@ class EngagementModel:
     def predict(self, x: np.ndarray) -> float:
         z = float(np.dot(np.asarray(self.weights), x) + self.bias)
         return float(sigmoid(z))
+
+    def predict_rows(self, x: np.ndarray) -> np.ndarray:
+        """`predict` of every row of a C-contiguous matrix, bit for bit.
+
+        One dot per row: a matrix product or a column sum may add the terms
+        in another order. The sigmoid is elementwise, so one call serves all.
+        """
+        weights = np.asarray(self.weights)
+        return sigmoid(np.array([float(np.dot(weights, row) + self.bias) for row in x],
+                                dtype=np.float64))
 
     @classmethod
     def zeros(cls, features: Sequence[str]) -> "EngagementModel":
@@ -132,10 +168,19 @@ class EngagementScorer(Scorer):
     def __init__(self, component_id: str = "engagement", model: Optional[EngagementModel] = None):
         super().__init__(component_id)
         self.model = model if model is not None else EngagementModel.zeros(DEFAULT_FEATURES)
-        self._extractors = resolve_features(self.model.features)
+        self._features = resolve_features(self.model.features)
 
     def score(self, ctx: QueryContext, doc: Document, signals: SharedSignals) -> float:
-        return self.model.predict(feature_vector(self._extractors, signals))
+        return self.model.predict(feature_vector(self._features, signals))
+
+    def column(self, ctx: QueryContext, frame: "CandidateFrame") -> np.ndarray:
+        kept = frame.kept
+        x = np.empty((len(kept), len(self._features)))  # C order: rows are contiguous
+        for j, feature in enumerate(self._features):
+            x[:, j] = feature.column(frame)[kept]
+        out = np.zeros(len(frame))
+        out[kept] = self.model.predict_rows(x)
+        return out
 
 
 def loss_and_gradient(
@@ -194,7 +239,7 @@ def build_training_matrix(
     feature_names: Sequence[str],
 ) -> tuple[np.ndarray, np.ndarray]:
     """(X, y) over every shown document; label is good-clicked membership."""
-    extractors = resolve_features(feature_names)
+    features = resolve_features(feature_names)
     rows = []
     labels = []
     for rec in log_records:
@@ -202,7 +247,7 @@ def build_training_matrix(
             signals = signals_for(rec, doc_id)
             if signals is None:
                 continue
-            rows.append(feature_vector(extractors, signals))
+            rows.append(feature_vector(features, signals))
             labels.append(1.0 if doc_id in rec.good_clicked else 0.0)
     if not rows:
         raise IntentRankError("query log produced no training examples")

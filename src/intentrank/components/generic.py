@@ -1,9 +1,12 @@
 """Generic scoring components, useful regardless of query intent.
 
 Every component maps into [0,1] so the combiner's weights alone carry
-scale. Each scorer is a thin class reading SharedSignals for the ranking
-pipeline. Where a value has a formula, the formula is defined once here and
-shared by the scorer and the engagement feature of the same name; the
+scale. Each scorer is a thin class with two readings of one definition:
+`column` scores a whole `CandidateFrame` at once, which is what search
+runs, and `score` reads one candidate's SharedSignals, the per-candidate
+reference path. Where a value has a formula, the formula is defined once here
+and shared by both readings and by the engagement feature of the same name;
+elementwise numpy on float64 gives the same bits as the scalar formula. The
 reference implementations the tests check them against live in
 `tests/oracles.py`.
 """
@@ -11,11 +14,16 @@ reference implementations the tests check them against live in
 from __future__ import annotations
 
 import math
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+
+import numpy as np
 
 from ..corpus import Document, QueryContext
 from ..errors import ConfigurationError
 from .signals import SharedSignals
+
+if TYPE_CHECKING:
+    from ..frame import CandidateFrame
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -38,8 +46,9 @@ DEFAULT_LOCATION_TAU_KM = 50.0
 NEUTRAL_LANGUAGE_SCORE = 0.5
 
 
-def squash(score: float) -> float:
-    """Map an unbounded nonnegative score into [0,1) without calibration."""
+def squash(score):
+    """Map an unbounded nonnegative score (or an array of them) into [0,1)
+    without calibration."""
     return score / (score + 1.0)
 
 
@@ -93,7 +102,8 @@ def _check_text_mix(mix: Sequence[float]) -> None:
         raise ConfigurationError(f"text mix weights must be 3 nonnegative values summing to 1, got {mix}")
 
 
-def _text_mix(bm25: float, proximity: float, title_ratio: float, mix: Sequence[float]) -> float:
+def _text_mix(bm25, proximity, title_ratio, mix: Sequence[float]):
+    """Scalars or equal-length arrays alike."""
     return mix[0] * squash(bm25) + mix[1] * proximity + mix[2] * title_ratio
 
 
@@ -137,13 +147,31 @@ def language_match_value(user_languages: Sequence[str], doc_languages: Mapping[s
     return max((doc_languages.get(code, 0.0) for code in user_languages), default=0.0)
 
 
+def column_of(values) -> np.ndarray:
+    return np.fromiter(values, dtype=np.float64)
+
+
+def social_column(frame: "CandidateFrame", weights: Mapping[str, float]) -> np.ndarray:
+    return column_of(social_relevance_value(rels, weights) if rels else 0.0
+                     for rels in frame.relations)
+
+
+def location_column(frame: "CandidateFrame", tau_km: float) -> np.ndarray:
+    return column_of(location_decay(d, tau_km) for d in frame.distance_km)
+
+
 class Scorer:
-    """Base scoring component: pure (ctx, doc, signals) -> [0,1]."""
+    """Base scoring component: pure (ctx, doc, signals) -> [0,1], and the same
+    value for every row of a frame at once."""
 
     def __init__(self, component_id: str):
         self.component_id = component_id
 
     def score(self, ctx: QueryContext, doc: Document, signals: SharedSignals) -> float:
+        raise NotImplementedError
+
+    def column(self, ctx: QueryContext, frame: "CandidateFrame") -> np.ndarray:
+        """One sigma per frame row; a policy-rejected row's value is never read."""
         raise NotImplementedError
 
 
@@ -156,6 +184,9 @@ class TextRelevanceScorer(Scorer):
     def score(self, ctx, doc, signals):
         return _text_mix(signals.first_pass_bm25, signals.proximity, signals.title_hit_ratio,
                          self.mix)
+
+    def column(self, ctx, frame):
+        return _text_mix(frame.first_pass, frame.proximity, frame.title_hit_ratio, self.mix)
 
 
 class SocialRelevanceScorer(Scorer):
@@ -170,6 +201,9 @@ class SocialRelevanceScorer(Scorer):
     def score(self, ctx, doc, signals):
         return social_relevance_value(signals.relations, self.weights)
 
+    def column(self, ctx, frame):
+        return social_column(frame, self.weights)
+
 
 class LocationRelevanceScorer(Scorer):
     def __init__(self, component_id: str = "location_relevance", tau_km: float = DEFAULT_LOCATION_TAU_KM):
@@ -181,6 +215,9 @@ class LocationRelevanceScorer(Scorer):
     def score(self, ctx, doc, signals):
         return location_decay(signals.distance_km, self.tau_km)
 
+    def column(self, ctx, frame):
+        return location_column(frame, self.tau_km)
+
 
 class LanguageMatchScorer(Scorer):
     def __init__(self, component_id: str = "language_match"):
@@ -189,6 +226,9 @@ class LanguageMatchScorer(Scorer):
     def score(self, ctx, doc, signals):
         return signals.language_overlap
 
+    def column(self, ctx, frame):
+        return frame.language_overlap
+
 
 class DocumentQualityScorer(Scorer):
     def __init__(self, component_id: str = "document_quality"):
@@ -196,6 +236,9 @@ class DocumentQualityScorer(Scorer):
 
     def score(self, ctx, doc, signals):
         return doc.quality.mean
+
+    def column(self, ctx, frame):
+        return frame.quality
 
 
 class PassthroughScorer(Scorer):
@@ -207,6 +250,11 @@ class PassthroughScorer(Scorer):
         self.scores = dict(scores)
         self.default = default
 
+    def _value(self, query_text: str, doc_id: str) -> float:
+        return min(1.0, max(0.0, self.scores.get((query_text, doc_id), self.default)))
+
     def score(self, ctx, doc, signals):
-        value = self.scores.get((ctx.query_text, doc.doc_id), self.default)
-        return min(1.0, max(0.0, value))
+        return self._value(ctx.query_text, doc.doc_id)
+
+    def column(self, ctx, frame):
+        return column_of(self._value(ctx.query_text, doc_id) for doc_id in frame.doc_ids)

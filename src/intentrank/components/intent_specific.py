@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from ..corpus import Document, QueryContext, SocialGraph
 from ..errors import ConfigurationError
 from ..intent.detect import grammar_window
-from .generic import Scorer
+from ..intent.patterns import SpecialGrammar
+from .generic import Scorer, column_of
 from .signals import SharedSignals
 
 FRIEND_PROFILE_SCORE = 1.0
@@ -41,10 +44,19 @@ class FriendIntentScorer(Scorer):
     def score(self, ctx: QueryContext, doc: Document, signals: SharedSignals) -> float:
         return friend_intent_value(doc, signals.friend_target, self.graph)
 
+    def column(self, ctx, frame):
+        target = frame.detection.friend_target
+        if not target:
+            return np.zeros(len(frame))
+        return column_of(friend_intent_value(doc, target, self.graph) for doc in frame.docs)
+
 
 def grammar_intent_value(ctx: QueryContext, doc: Document, signals: SharedSignals) -> float:
     """All-or-nothing: type matches and, when required, the searcher saw it in window."""
-    grammar = signals.grammar
+    return _grammar_value(ctx, doc, signals.grammar)
+
+
+def _grammar_value(ctx: QueryContext, doc: Document, grammar: Optional[SpecialGrammar]) -> float:
     if grammar is None:
         return 0.0
     if doc.doc_type != grammar.doc_type:
@@ -65,6 +77,12 @@ class GrammarIntentScorer(Scorer):
 
     def score(self, ctx, doc, signals):
         return grammar_intent_value(ctx, doc, signals)
+
+    def column(self, ctx, frame):
+        grammar = frame.detection.grammar
+        if grammar is None:
+            return np.zeros(len(frame))
+        return column_of(_grammar_value(ctx, doc, grammar) for doc in frame.docs)
 
 
 def video_publisher_value(doc: Document, publisher_entity: Optional[str],
@@ -93,3 +111,9 @@ class VideoPublisherScorer(Scorer):
 
     def score(self, ctx, doc, signals):
         return video_publisher_value(doc, signals.publisher_entity, self.mode)
+
+    def column(self, ctx, frame):
+        entity = frame.detection.publisher_entity
+        if not entity:
+            return np.zeros(len(frame))
+        return column_of(video_publisher_value(doc, entity, self.mode) for doc in frame.docs)

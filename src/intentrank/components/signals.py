@@ -1,8 +1,11 @@
 """Per-candidate precomputed features shared by all scoring components.
 
-`EngineHandle.build_signals` builds one per (query, document) pair that gets
-scored, never for a policy-rejected document. They are read-only afterward,
-so scorers stay pure and cheap. Every field is read by a scorer or an
+This is the per-candidate reading of a query's features: search reads the
+same values as columns of a `CandidateFrame`, and each scorer's `score` reads
+them from one SharedSignals. `EngineHandle.build_signals` builds one per
+(query, document) pair, for the engagement trainer and the reference path
+the tests compare search against. They are read-only afterward, so scorers
+stay pure and cheap. Every field is read by a scorer or an
 engagement feature. They are the retrieval-stage features (the title-hit
 ratio comes from the index's positions, not from re-tokenizing the title),
 the document's mean quality and click counts, and the detection captures the

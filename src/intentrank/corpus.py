@@ -22,7 +22,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import AbstractSet, Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional
 
 from .errors import InvariantError
 from .records import (
@@ -262,20 +262,15 @@ class SocialGraph:
                 log.warning("searcher %r has no edges in the social graph", searcher)
         out = self._out.get(searcher, {})
         into = self._in.get(searcher, {})
-        friends = out.get("friend", frozenset())
-        friend_edges = [self._out.get(f, {}) for f in friends]
         return SearcherView(
             searcher=searcher,
-            friends=friends,
-            friends_of_friends=frozenset().union(
-                *(edges.get("friend", ()) for edges in friend_edges)),
+            friends=out.get("friend", frozenset()),
             engaged=out.get("engaged", frozenset()),
-            friend_engaged=frozenset().union(
-                *(edges.get("engaged", ()) for edges in friend_edges)),
             follows=out.get("follow", frozenset()),
             followers=into.get("follow", frozenset()),
             friend_requests=into.get("pending_friend", frozenset()),
             pending_joins=out.get("pending_join", frozenset()),
+            incoming=self._in,
         )
 
     def edges(self) -> Iterator[tuple[str, str, str]]:
@@ -298,17 +293,27 @@ class SocialGraph:
 
 @dataclass(frozen=True)
 class SearcherView:
-    """One searcher's edges and two-hop friend sets; see `searcher_view`."""
+    """One searcher's edges; see `searcher_view`.
+
+    Two-hop relations are asked per node, never built as sets: some friend
+    of the searcher has a `label` edge to `node` iff the friend set meets
+    the node's incoming `label` sources.
+    """
 
     searcher: str
     friends: AbstractSet[str]
-    friends_of_friends: AbstractSet[str]  # may include the searcher and direct friends
     engaged: AbstractSet[str]
-    friend_engaged: AbstractSet[str]  # nodes any friend engaged
     follows: AbstractSet[str]
     followers: AbstractSet[str]
     friend_requests: AbstractSet[str]  # senders of pending friend edges to the searcher
     pending_joins: AbstractSet[str]
+    # the graph's reverse index, node -> label -> sources
+    incoming: Mapping[str, Mapping[str, AbstractSet[str]]] = field(compare=False, repr=False)
+
+    def via_friend(self, node: str, label: str) -> bool:
+        """Whether some friend of the searcher has a `label` edge to `node`."""
+        sources = self.incoming.get(node)
+        return sources is not None and not self.friends.isdisjoint(sources.get(label, ()))
 
 
 EDGE = Table(dict, Field("src", string), Field("dst", string), Field("label", string))
@@ -478,7 +483,7 @@ def social_relations(view: SearcherView, doc: Document) -> set[str]:
         else:
             if author in view.friends:
                 rels.add("friend")
-            elif author in view.friends_of_friends:
+            elif view.via_friend(author, "friend"):
                 rels.add("friend_of_friend")
             if author in view.friend_requests:
                 rels.add("pending_friend")
@@ -488,7 +493,7 @@ def social_relations(view: SearcherView, doc: Document) -> set[str]:
             rels.add("followee")
     if doc_id in view.engaged:
         rels.add("self_engaged")
-    if doc_id in view.friend_engaged:
+    if view.via_friend(doc_id, "engaged"):
         rels.add("friend_engaged")
     if doc_id in view.follows:
         rels.add("followee")
@@ -510,26 +515,31 @@ class EngagementTable:
     """Per-(query, doc) historical counters aggregated from a query log."""
 
     def __init__(self) -> None:
-        self._counts: dict[tuple[str, str], PairCounts] = {}
+        self._by_query: dict[str, dict[str, PairCounts]] = {}
 
     @classmethod
     def from_log(cls, records: Iterable[QueryRecord]) -> "EngagementTable":
         table = cls()
-        acc: dict[tuple[str, str], list[int]] = {}
+        acc: dict[str, dict[str, list[int]]] = {}
         for rec in records:
+            by_doc = acc.setdefault(rec.query_text, {})
             for doc_id in rec.shown_doc_ids:
-                key = (rec.query_text, doc_id)
-                counts = acc.setdefault(key, [0, 0, 0])
+                counts = by_doc.setdefault(doc_id, [0, 0, 0])
                 counts[0] += 1
                 if doc_id in rec.clicked:
                     counts[1] += 1
                 if doc_id in rec.good_clicked:
                     counts[2] += 1
-        table._counts = {k: PairCounts(*v) for k, v in acc.items()}
+        table._by_query = {q: {d: PairCounts(*v) for d, v in by_doc.items()}
+                           for q, by_doc in acc.items() if by_doc}
         return table
 
     def get(self, query_text: str, doc_id: str) -> PairCounts:
-        return self._counts.get((query_text, doc_id), PairCounts())
+        return self.for_query(query_text).get(doc_id, PairCounts())
+
+    def for_query(self, query_text: str) -> Mapping[str, PairCounts]:
+        """doc_id -> counts of every document logged for the query."""
+        return self._by_query.get(query_text, EMPTY_MAP)
 
     def __len__(self) -> int:
-        return len(self._counts)
+        return sum(len(by_doc) for by_doc in self._by_query.values())

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .components.engagement import (
     DEFAULT_FEATURES,
     EngagementModel,
@@ -39,7 +41,10 @@ from .corpus import (
 )
 from .components.generic import haversine_km, language_match_value, proximity_score
 from .errors import IntentRankError
-from .index import Candidate, ShardedIndex, build_index, retrieve, tokenize
+from .frame import CandidateFrame, DocColumns, build_frame
+# `retrieve`, the Candidate form of retrieve_rows, is kept here for callers
+# that re-assemble the per-candidate path from this module's names
+from .index import ShardedIndex, build_index, retrieve, retrieve_rows, tokenize
 from .intent.classify import (
     CharNgramClassifier,
     ClassifierRegistry,
@@ -63,8 +68,8 @@ from .ranker import (
     RankedList,
     RankerConfig,
     ScoreTable,
-    build_table,
     combine,
+    frame_table,
     rank,
     validate_config,
 )
@@ -131,7 +136,7 @@ ENGINE_CONFIG = Table(
 class SearchResult:
     ranked: RankedList
     detection: DetectionResult
-    candidates: tuple[Candidate, ...]
+    frame: CandidateFrame  # every candidate, ranked or not
     table: ScoreTable  # config-independent: re-rank with ranker.combine, no new search
 
 
@@ -165,6 +170,7 @@ class EngineHandle:
         self.query_log = query_log or []
         self.judgments = judgments or []
         self.bvt_suite_path = bvt_suite_path
+        self.doc_columns = DocColumns.build(corpus, index)
         validate_config(registry, ranker_config)
 
     # ------------------------------------------------------------------ #
@@ -182,6 +188,32 @@ class EngineHandle:
         return QueryContext(query_text=query_text, user=user, suggestion=suggestion,
                             ts=self.now_ts, graph_view=self.corpus.graph.searcher_view(user_id))
 
+    def build_frame(self, ctx: QueryContext, query_tokens: Sequence[str],
+                    detection: DetectionResult) -> CandidateFrame:
+        """Retrieve the query's candidates and build their frame."""
+        if query_tokens:
+            rows, first_pass = retrieve_rows(self.index, query_tokens, k=self.retrieval.k,
+                                             per_shard_k=self.retrieval.per_shard_k)
+        else:
+            rows, first_pass = np.zeros(0, dtype=np.int64), np.zeros(0)
+        # Self-history vertical: a grammar query like "posts i have seen"
+        # matches no document text, so its candidates come from the
+        # searcher's own engagement history instead.
+        if detection.grammar is not None and detection.grammar.self_seen:
+            seen = set(rows.tolist())
+            extra = []
+            for doc_id in sorted(ctx.user.engaged_doc_ids):
+                row = self.index.row_of(doc_id)
+                if row is not None and row not in seen:
+                    extra.append(row)
+            if extra:
+                rows = np.concatenate([rows, extra])
+                first_pass = np.concatenate([first_pass, [
+                    self.index.score_doc(query_tokens, self.index.doc_ids[row])
+                    for row in extra]])
+        return build_frame(self.index, self.doc_columns, self.engagement_table, ctx,
+                           query_tokens, detection, rows, first_pass)
+
     def build_signals(
         self,
         ctx: QueryContext,
@@ -191,7 +223,8 @@ class EngineHandle:
         detection: Optional[DetectionResult],
     ) -> SharedSignals:
         """Signals of one candidate; `ctx` comes from `context_for`, which
-        builds the searcher's graph view once per query."""
+        builds the searcher's graph view once per query. Search reads the
+        frame instead; this is the per-candidate reference path."""
         positions = {
             term: self.index.positions(term, doc.doc_id) for term in set(query_tokens)
         }
@@ -233,37 +266,10 @@ class EngineHandle:
         ctx = self.context_for(query_text, user_id, suggestion)
         tokens = tokenize(query_text)
         detection = detect(ctx, self.intent_config)
-        candidates = list(
-            retrieve(
-                self.index,
-                tokens,
-                k=self.retrieval.k,
-                per_shard_k=self.retrieval.per_shard_k,
-            )
-            if tokens
-            else []
-        )
-        # Self-history vertical: a grammar query like "posts i have seen"
-        # matches no document text, so its candidates come from the
-        # searcher's own engagement history instead.
-        if detection.grammar is not None and detection.grammar.self_seen:
-            seen = {c.doc_id for c in candidates}
-            for doc_id in sorted(ctx.user.engaged_doc_ids):
-                if doc_id in seen or doc_id not in self.corpus.documents:
-                    continue
-                candidates.append(Candidate(doc_id, self.index.score_doc(tokens, doc_id)))
-        candidates = tuple(candidates)
-        inputs = []
-        for cand in candidates:
-            doc = self.corpus.documents[cand.doc_id]
-            # the ranker filters a policy-rejected doc before scoring
-            signals = None if doc.quality.policy_reject else self.build_signals(
-                ctx, tokens, doc, cand.first_pass_score, detection)
-            inputs.append((doc, signals))
-        table = build_table(ctx, inputs, detection.distribution, self.registry)
+        frame = self.build_frame(ctx, tokens, detection)
+        table = frame_table(ctx, frame, self.registry)
         ranked = combine(table, ranker_config, query_id=query_text)
-        return SearchResult(ranked=ranked, detection=detection, candidates=candidates,
-                            table=table)
+        return SearchResult(ranked=ranked, detection=detection, frame=frame, table=table)
 
     def rank_for_record(self, record: QueryRecord, config: Optional[RankerConfig] = None) -> RankedList:
         """Replay one logged query, preserving its suggestion click."""

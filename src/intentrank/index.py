@@ -134,6 +134,9 @@ class ShardedIndex:
     def has_doc(self, doc_id: str) -> bool:
         return doc_id in self._row_of
 
+    def row_of(self, doc_id: str) -> Optional[int]:
+        return self._row_of.get(doc_id)
+
     def doc_length(self, doc_id: str) -> int:
         return int(self.doc_lengths[self._row_of[doc_id]])
 
@@ -250,39 +253,35 @@ def build_index(
                         stats=stats, k1=k1, b=b)
 
 
-def _top(index: ShardedIndex, rows: np.ndarray, scores: np.ndarray,
-         limit: int) -> list[Candidate]:
-    """One index node: its `limit` best rows by (score desc, doc_id asc).
+def _top(rows: np.ndarray, scores: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `limit` best (rows, scores) by (score desc, doc_id asc).
 
-    `rows` must be ascending. Rows tied with the limit-th score all survive
-    the partition, so the stable sort settles ties by doc_id.
+    Row order is doc_id order, so one lexsort on (-score, row) settles ties
+    by doc_id. Rows tied with the limit-th score all survive the partition.
     """
-    values = scores[rows]
-    if len(values) > limit:
-        cut = np.partition(values, len(values) - limit)[len(values) - limit]
-        keep = values >= cut
-        rows, values = rows[keep], values[keep]
-    order = np.argsort(-values, kind="stable")[:limit]
-    return [Candidate(index.doc_ids[row], score)
-            for row, score in zip(rows[order].tolist(), values[order].tolist())]
+    if len(scores) > limit:
+        cut = np.partition(scores, len(scores) - limit)[len(scores) - limit]
+        keep = scores >= cut
+        rows, scores = rows[keep], scores[keep]
+    order = np.lexsort((rows, -scores))[:limit]
+    return rows[order], scores[order]
 
 
-def _merge(lists: Iterable[list[Candidate]], limit: int) -> list[Candidate]:
-    merged: list[Candidate] = []
-    for lst in lists:
-        merged.extend(lst)
-    merged.sort(key=lambda c: (-c.first_pass_score, c.doc_id))
-    return merged[:limit]
+def _merge(tops: Sequence[tuple[np.ndarray, np.ndarray]],
+           limit: int) -> tuple[np.ndarray, np.ndarray]:
+    return _top(np.concatenate([rows for rows, _ in tops]),
+                np.concatenate([scores for _, scores in tops]), limit)
 
 
-def retrieve(
+def retrieve_rows(
     index: ShardedIndex,
     query_tokens: Sequence[str],
     k: int,
     per_shard_k: Optional[int] = None,
     enforce_per_shard_k: bool = True,
-) -> list[Candidate]:
-    """Fan out to shards, merge through rank aggregators, return global top k.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fan out to shards, merge through rank aggregators, return the global top k
+    as (index rows, first-pass scores), best first.
 
     per_shard_k defaults to k. Values below k can drop documents a
     single-shard run would return, so they are rejected unless
@@ -300,21 +299,35 @@ def retrieve(
             f"enforce_per_shard_k=False to allow it"
         )
     if not query_tokens:
-        return []
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
 
     # one corpus-wide scoring pass; every term contribution is positive, so
     # the nonzero rows are exactly the documents that match a query term
     scores = index.scores(query_tokens)
     rows = np.flatnonzero(scores)
     shard = index.shard_ids[rows]
-    shard_tops = [_top(index, rows[shard == s], scores, per_shard_k)
-                  for s in range(index.num_shards)]
+    shard_tops = []
+    for s in range(index.num_shards):
+        in_shard = rows[shard == s]
+        shard_tops.append(_top(in_shard, scores[in_shard], per_shard_k))
     # Two-tier merge: shards feed rank aggregators round-robin, whose merged
     # tops feed the top aggregator. Grouping never changes the result because
     # the reduction is associative under the (score, doc_id) order.
     num_aggs = max(1, math.isqrt(index.num_shards))
-    groups: list[list[list[Candidate]]] = [[] for _ in range(num_aggs)]
+    groups: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(num_aggs)]
     for i, top in enumerate(shard_tops):
         groups[i % num_aggs].append(top)
-    aggregator_tops = [_merge(group, per_shard_k) for group in groups if group]
-    return _merge(aggregator_tops, k)
+    return _merge([_merge(group, per_shard_k) for group in groups if group], k)
+
+
+def retrieve(
+    index: ShardedIndex,
+    query_tokens: Sequence[str],
+    k: int,
+    per_shard_k: Optional[int] = None,
+    enforce_per_shard_k: bool = True,
+) -> list[Candidate]:
+    """`retrieve_rows` as `Candidate`s, for callers that want doc ids."""
+    rows, scores = retrieve_rows(index, query_tokens, k, per_shard_k, enforce_per_shard_k)
+    return [Candidate(index.doc_ids[row], score)
+            for row, score in zip(rows.tolist(), scores.tolist())]

@@ -6,14 +6,16 @@ The final relevance of a document is
 
 where c ranges over generic components and t over intents whose probability
 clears the trigger threshold. The score is linear in the weights and every
-sigma is fixed per query, so ranking is split in two: `build_table` runs the
-components once per query into a config-independent ScoreTable, and
-`combine` applies one RankerConfig to it (gate, weighted sum, sort). Serving
-does both once; tuning and A/B build a table once per distinct query and
-combine it under every config they try. The tests check the split against a
-per-document reference evaluator and against the expanded mixture form
-sum_t P(t|q) * (generic sum + w_t * sigma_t), which must agree whenever the
-threshold is zero.
+sigma is fixed per query, so ranking is split in two: `frame_table` runs
+each component once per query, as one column over the query's
+CandidateFrame, into a config-independent ScoreTable, and `combine` applies
+one RankerConfig to it (gate, weighted sum, sort). Serving does both once;
+tuning and A/B build a table once per distinct query and combine it under
+every config they try. `build_table` builds the same table from
+per-candidate signals, one `score` call per candidate: the reference path.
+The tests check the split against a per-document reference evaluator and
+against the expanded mixture form sum_t P(t|q) * (generic sum + w_t *
+sigma_t), which must agree whenever the threshold is zero.
 
 Every scored document carries a full trace of its weighted contributions,
 which is what makes ranking behavior inspectable after the fact.
@@ -27,7 +29,7 @@ import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -37,6 +39,9 @@ from .corpus import Document, QueryContext
 from .errors import ConfigurationError, IntentRankError
 from .intent.space import IntentDistribution
 from .records import EMPTY_MAP, Field, Table, decode_config, integer, map_of, number
+
+if TYPE_CHECKING:
+    from .frame import CandidateFrame
 
 DEFAULT_TRIGGER_THRESHOLD = 0.05
 
@@ -251,6 +256,35 @@ def build_table(
         doc_ids=doc_ids,
         quality=quality,
         rejected=rejected,
+        tie_rank=tie_rank,
+        intents=intents,
+        generic={cid: column(scorer) for cid, scorer in registry.generic.items()},
+        intent={
+            intent_id: column(scorer)
+            for intent_id, scorer in registry.intent_specific.items()
+            if intents.get(intent_id) > 0.0
+        },
+        registry=registry,
+    )
+
+
+def frame_table(ctx: QueryContext, frame: "CandidateFrame",
+                registry: ComponentRegistry) -> ScoreTable:
+    """The ScoreTable `build_table` gives for the frame's candidates, bit for
+    bit, from one `column` call per component."""
+    n = len(frame)
+
+    def column(scorer) -> np.ndarray:
+        return np.where(frame.rejected, 0.0, scorer.column(ctx, frame))
+
+    # row order is doc_id order, and a frame holds each row once
+    tie_rank = np.empty(n, dtype=np.int64)
+    tie_rank[np.argsort(frame.rows)] = np.arange(n)
+    intents = frame.detection.distribution
+    return ScoreTable(
+        doc_ids=frame.doc_ids,
+        quality=frame.quality,
+        rejected=frame.rejected,
         tie_rank=tie_rank,
         intents=intents,
         generic={cid: column(scorer) for cid, scorer in registry.generic.items()},

@@ -134,3 +134,9 @@ def bench_fixtures(tmp_path_factory):
         write_fixture(fx, root)
         out[name] = (root, plan)
     return out
+
+
+@pytest.fixture(scope="session")
+def bench_engines(bench_fixtures):
+    """workload -> engine over its `bench_fixtures` directory, loaded once."""
+    return {name: load_engine(root / "engine.json") for name, (root, _) in bench_fixtures.items()}

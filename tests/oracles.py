@@ -341,6 +341,38 @@ def rank_oracle(ctx, scored_inputs, intents, registry, config):
 
 
 # --------------------------------------------------------------------- #
+# search one candidate at a time, the way EngineHandle.search scored before
+# the candidate frame: Candidate objects, one SharedSignals and one `score`
+# call per candidate, then ranker.build_table
+
+
+def search_table_oracle(engine, query_text, user_id, suggestion=None):
+    """(ScoreTable, first-pass score per row) of one query by the per-candidate path."""
+    from intentrank.engine import detect
+    from intentrank.index import Candidate, retrieve, tokenize
+    from intentrank.ranker import build_table
+
+    ctx = engine.context_for(query_text, user_id, suggestion)
+    tokens = tokenize(query_text)
+    detection = detect(ctx, engine.intent_config)
+    candidates = retrieve(engine.index, tokens, k=engine.retrieval.k,
+                          per_shard_k=engine.retrieval.per_shard_k) if tokens else []
+    if detection.grammar is not None and detection.grammar.self_seen:
+        seen = {c.doc_id for c in candidates}
+        for doc_id in sorted(ctx.user.engaged_doc_ids):
+            if doc_id not in seen and doc_id in engine.corpus.documents:
+                candidates.append(Candidate(doc_id, engine.index.score_doc(tokens, doc_id)))
+    inputs = []
+    for cand in candidates:
+        doc = engine.corpus.documents[cand.doc_id]
+        signals = None if doc.quality.policy_reject else engine.build_signals(
+            ctx, tokens, doc, cand.first_pass_score, detection)
+        inputs.append((doc, signals))
+    table = build_table(ctx, inputs, detection.distribution, engine.registry)
+    return table, [c.first_pass_score for c in candidates]
+
+
+# --------------------------------------------------------------------- #
 # paired bootstrap with every resample drawn at once
 
 

@@ -400,14 +400,20 @@ class TestSynthCommand:
 
 class TestServe:
     @pytest.fixture()
-    def server(self, demo_dir):
+    def served(self, demo_dir):
+        """(base url, engine) of a server on an ephemeral port."""
         engine = load_engine(demo_dir / "engine.json")
         server = make_server(engine, "127.0.0.1", 0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        yield f"http://127.0.0.1:{server.server_address[1]}"
+        yield f"http://127.0.0.1:{server.server_address[1]}", engine
         server.shutdown()
         server.server_close()
+        thread.join(10)
+
+    @pytest.fixture()
+    def server(self, served):
+        return served[0]
 
     def test_search_endpoint(self, server):
         body = urlopen(f"{server}/search?q=taylor+swift&user=u_alice").read().decode()
@@ -433,6 +439,38 @@ class TestServe:
         with pytest.raises(HTTPError) as exc:
             urlopen(f"{server}/search?q=hi&user=u_ghost")
         assert exc.value.code == 400
+
+    @pytest.mark.parametrize("query", ["q=&user=u_alice", "q=taylor&user=",
+                                       "q=taylor&user=u_alice&doc="])
+    def test_blank_param_400_names_it(self, server, query):
+        path = "/explain" if "doc" in query else "/search"
+        with pytest.raises(HTTPError) as exc:
+            urlopen(f"{server}{path}?{query}")
+        assert exc.value.code == 400
+        blank = next(p.split("=")[0] for p in query.split("&") if p.endswith("="))
+        with exc.value:
+            assert f"empty query parameter '{blank}'" in exc.value.read().decode()
+
+    def test_internal_error_500_then_serving_goes_on(self, served, monkeypatch, capsys):
+        server, engine = served
+        search = engine.search
+        failures = [RuntimeError("boom")]
+
+        def flaky(*args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "search", flaky)
+        with pytest.raises(HTTPError) as exc:
+            urlopen(f"{server}/search?q=taylor+swift&user=u_alice")
+        assert exc.value.code == 500
+        with exc.value:
+            assert exc.value.read().decode() == "internal error\n"
+        body = urlopen(f"{server}/search?q=taylor+swift&user=u_alice").read().decode()
+        assert "d_vid_shake" in body
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["internal error: /search: RuntimeError: boom"]
 
 
 def test_parser_smoke():

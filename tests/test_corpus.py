@@ -210,7 +210,7 @@ class TestSocialRelations:
         caplog.clear()
         with caplog.at_level("WARNING"):
             result = engine.search(record.query_text, record.user_id)
-        assert len(result.candidates) > 1
+        assert len(result.frame) > 1
         warnings = [r.getMessage() for r in caplog.records if "has no edges" in r.getMessage()]
         assert warnings == [f"searcher {record.user_id!r} has no edges in the social graph"]
 

@@ -6,11 +6,13 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from oracles import title_hit_ratio
 
 import intentrank.engine as engine_mod
+from intentrank import frame as frame_mod
 from intentrank import index as index_mod
 from intentrank.corpus import SocialGraph
 from intentrank.engine import EngineHandle, load_engine
@@ -140,19 +142,22 @@ class TestSearchPipeline:
 
     def test_candidates_bounded_by_retrieval_k(self, demo_engine):
         result = demo_engine.search("taylor swift", "u_alice")
-        assert len(result.candidates) <= demo_engine.retrieval.k
+        assert len(result.frame) <= demo_engine.retrieval.k
 
     def test_self_history_overlap_is_one_candidate(self, demo_engine, monkeypatch):
         # retrieval also finds one of the searcher's engaged posts
         retrieved = [Candidate("d_post_bob", 1.5), Candidate("d_page_tswift", 1.0)]
-        monkeypatch.setattr(engine_mod, "retrieve", lambda *args, **kwargs: list(retrieved))
+        rows = np.array([demo_engine.index.row_of(c.doc_id) for c in retrieved])
+        scores = np.array([c.first_pass_score for c in retrieved])
+        monkeypatch.setattr(engine_mod, "retrieve_rows", lambda *args, **kwargs: (rows, scores))
         result = demo_engine.search("posts i have seen", "u_alice")
         assert result.detection.grammar.self_seen
         engaged = set(demo_engine.corpus.users["u_alice"].engaged_doc_ids)
-        ids = [c.doc_id for c in result.candidates]
+        ids = result.frame.doc_ids
         assert "d_post_bob" in engaged
         assert len(ids) == len(set(ids)) == len({c.doc_id for c in retrieved} | engaged)
-        assert result.candidates[0] == retrieved[0]  # the retrieved copy is the one kept
+        # the retrieved copy is the one kept
+        assert Candidate(ids[0], result.frame.first_pass[0]) == retrieved[0]
         ranked = result.ranked.doc_ids()
         assert len(ranked) == len(set(ranked))
 
@@ -165,10 +170,11 @@ class TestSearchPipeline:
                 continue
             ctx = engine.context_for(record.query_text, record.user_id)
             tokens = tokenize(record.query_text)
-            for cand in engine.search(record.query_text, record.user_id).candidates:
-                doc = engine.corpus.documents[cand.doc_id]
-                signals = engine.build_signals(ctx, tokens, doc, cand.first_pass_score, None)
-                assert signals.title_hit_ratio == title_hit_ratio(tokens, tokenize(doc.title))
+            frame = engine.search(record.query_text, record.user_id).frame
+            for row, doc in enumerate(frame.docs):
+                expected = title_hit_ratio(tokens, tokenize(doc.title))
+                signals = engine.build_signals(ctx, tokens, doc, frame.first_pass[row], None)
+                assert signals.title_hit_ratio == frame.title_hit_ratio[row] == expected
                 checked += 1
         assert checked > 0
 
@@ -191,7 +197,7 @@ class TestWorkPerSearch:
         self.count(monkeypatch, SocialGraph, "searcher_view", views)
         self.count(monkeypatch, engine_mod, "detect", detections)
         result = demo_engine.search("taylor swift", "u_alice")
-        assert len(result.candidates) > 1
+        assert len(result.frame) > 1
         assert len(views) == len(detections) == 1
 
     def test_tokenize_calls_do_not_grow_with_candidates(self, demo_engine, monkeypatch):
@@ -204,21 +210,39 @@ class TestWorkPerSearch:
             monkeypatch.setattr(demo_engine, "retrieval",
                                 dataclasses.replace(demo_engine.retrieval, k=k))
             calls.clear()
-            sizes.append(len(demo_engine.search("taylor swift", "u_alice").candidates))
+            sizes.append(len(demo_engine.search("taylor swift", "u_alice").frame))
             counts.append(len(calls))
         assert sizes[0] < sizes[1]
         assert counts[0] == counts[1] > 0
 
     def test_no_signals_for_policy_rejected_candidates(self, demo_engine, monkeypatch):
-        built = []
+        built, related = [], []
         self.count(monkeypatch, EngineHandle, "build_signals", built)
+        self.count(monkeypatch, frame_mod, "social_relations", related)
         result = demo_engine.search("taylor swift", "u_alice")
         docs = demo_engine.corpus.documents
-        candidates = {c.doc_id for c in result.candidates}
+        candidates = set(result.frame.doc_ids)
         rejected = {d for d in candidates if docs[d].quality.policy_reject}
         assert rejected == {"d_post_spam"}
-        # build_signals(self, ctx, tokens, doc, first_pass, detection)
-        assert sorted(args[3].doc_id for args in built) == sorted(candidates - rejected)
+        assert built == []
+        # the per-searcher columns are computed for the kept rows only:
+        # social_relations(view, doc)
+        assert sorted(args[1].doc_id for args in related) == sorted(candidates - rejected)
+        assert {result.frame.doc_ids[i] for i in result.frame.kept} == candidates - rejected
+
+    def test_no_per_candidate_calls(self, demo_engine, monkeypatch):
+        calls = {name: [] for name in ("build_signals", "score", "Candidate", "positions")}
+        self.count(monkeypatch, EngineHandle, "build_signals", calls["build_signals"])
+        self.count(monkeypatch, index_mod.ShardedIndex, "positions", calls["positions"])
+        self.count(monkeypatch, index_mod.Candidate, "__init__", calls["Candidate"])
+        registry = demo_engine.registry
+        for cls in {type(s) for s in [*registry.generic.values(),
+                                      *registry.intent_specific.values()]}:
+            self.count(monkeypatch, cls, "score", calls["score"])
+        for query, user in (("taylor swift", "u_alice"), ("posts i have seen", "u_alice"),
+                            ("bob stone", "u_alice")):
+            assert len(demo_engine.search(query, user).frame) > 0
+        assert calls == {name: [] for name in calls}
 
 
 class TestTrainingSignals:

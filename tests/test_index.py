@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from intentrank.index import (
     first_pass_score,
     idf,
     retrieve,
+    retrieve_rows,
     shard_of,
     tokenize,
 )
@@ -228,8 +230,12 @@ class TestDictIndexOracle:
                 retrieve(index, query, k=k, per_shard_k=0, enforce_per_shard_k=False)
             return
         got = retrieve(index, query, k=k, per_shard_k=per_shard_k, enforce_per_shard_k=False)
-        assert [(c.doc_id, c.first_pass_score) for c in got] == oracle.retrieve(
-            query, k, per_shard_k)
+        expected = oracle.retrieve(query, k, per_shard_k)
+        assert [(c.doc_id, c.first_pass_score) for c in got] == expected
+        rows, scores = retrieve_rows(index, query, k=k, per_shard_k=per_shard_k,
+                                     enforce_per_shard_k=False)
+        assert rows.dtype.kind == "i" and scores.dtype == np.float64
+        assert [(index.doc_ids[r], s) for r, s in zip(rows.tolist(), scores.tolist())] == expected
         assert index.stats.df == oracle.df
         assert index.stats.avgdl == oracle.avgdl
         for doc_id in corpus.documents:

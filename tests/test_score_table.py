@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import mk_ctx, mk_doc
 from oracles import rank_oracle
 
+import intentrank.engine as engine_mod
 import intentrank.ranker as ranker_mod
 from intentrank.components.generic import Scorer
 from intentrank.components.signals import SharedSignals
@@ -138,6 +139,26 @@ class CountingSearch:
         monkeypatch.setattr(EngineHandle, "search", counted)
 
 
+class CountingTables:
+    """Records the key of every frame the engine builds, and counts score tables."""
+
+    def __init__(self, monkeypatch):
+        self.keys = []
+        self.tables = 0
+        build_frame, frame_table = EngineHandle.build_frame, engine_mod.frame_table
+
+        def counted_frame(engine, ctx, tokens, detection):
+            self.keys.append((ctx.query_text, ctx.user.user_id, ctx.suggestion))
+            return build_frame(engine, ctx, tokens, detection)
+
+        def counted_table(*args):
+            self.tables += 1
+            return frame_table(*args)
+
+        monkeypatch.setattr(EngineHandle, "build_frame", counted_frame)
+        monkeypatch.setattr(engine_mod, "frame_table", counted_table)
+
+
 def demo_keys(engine, suite):
     return (
         {(r.query_text, r.user_id, r.suggestion_click) for r in engine.query_log}
@@ -158,10 +179,12 @@ class TestTableMemo:
         engine = load_engine(demo_dir / "engine.json")
         suite = load_bvt_suite(engine.bvt_suite_path)
         assets = TuneAssets.from_engine(engine, suite)
-        counter = CountingSearch(monkeypatch)
+        counter, built = CountingSearch(monkeypatch), CountingTables(monkeypatch)
         result = tune(engine.ranker_config, self.spec(), engine, assets)
         assert result.evaluations_used > 1
         assert len(counter.keys) == len(set(counter.keys)) == len(demo_keys(engine, suite))
+        # one frame and one table per distinct key for the whole call
+        assert built.keys == counter.keys and built.tables == len(built.keys)
         # every evaluation equals the objective computed from fresh tables
         for evaluation in result.trajectory:
             config = engine.ranker_config
@@ -173,10 +196,11 @@ class TestTableMemo:
         engine = load_engine(demo_dir / "engine.json")
         suite = load_bvt_suite(engine.bvt_suite_path)
         config_b = engine.ranker_config.replace(trigger_threshold=0.5)
-        counter = CountingSearch(monkeypatch)
+        counter, built = CountingSearch(monkeypatch), CountingTables(monkeypatch)
         ab_compare(engine, engine.ranker_config, config_b, engine.query_log, engine.judgments,
                    suite, metrics=("sgcr@10", "ndcg@10", "err@5"), n_resamples=100)
         assert len(counter.keys) == len(set(counter.keys)) == len(demo_keys(engine, suite))
+        assert built.keys == counter.keys and built.tables == len(built.keys)
 
     def test_shared_tables_rank_like_fresh_searches(self, demo_engine):
         memo = TableMemo(demo_engine)

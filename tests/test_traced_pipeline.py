@@ -62,7 +62,7 @@ def test_traced_pipeline_matches_search_and_uninstalls(tune_ab):
         finally:
             tracer.uninstall()
         assert ranked.items == expected.ranked.items, q
-        assert n_candidates == len(expected.candidates)
+        assert n_candidates == len(expected.frame)
         calls = tracer.self_time_by_name(tracer.arrays())
         assert calls["build_signals"]["calls"] == n_candidates > 0
         assert calls["detect"]["calls"] == calls["retrieve"]["calls"] == 1

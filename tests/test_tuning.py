@@ -85,6 +85,16 @@ class TestWeightPaths:
         assert get_weight(set_weight(config, "trigger_threshold", 0.2),
                           "trigger_threshold") == 0.2
 
+    def test_set_intent_weight_changes_only_that_weight(self, demo_engine):
+        config = demo_engine.ranker_config
+        changed = set_weight(config, "intent_weights.friend", 2.0)
+        assert changed.intent_weights["friend"] == 2.0
+        assert {k: w for k, w in changed.intent_weights.items() if k != "friend"} == {
+            k: w for k, w in config.intent_weights.items() if k != "friend"}
+        assert changed.generic_weights == config.generic_weights
+        assert changed.trigger_threshold == config.trigger_threshold
+        assert changed.k_final == config.k_final
+
     def test_unknown_path_rejected(self, demo_engine):
         with pytest.raises(ConfigurationError, match="weight path"):
             get_weight(demo_engine.ranker_config, "mystery.path")
@@ -176,6 +186,25 @@ class TestTune:
                 best_value, best_point = value, point
         assert get_weight(result.best_config, "generic_weights.language") == best_point
         assert result.best_objective == pytest.approx(best_value)
+
+    def test_intent_weight_recovers_grid_argmax(self, demo_engine, demo_dir):
+        """Tuning w_t alone: the configs are built here without set_weight, so
+        a set_weight that writes another value cannot also move the answer."""
+        assets = TuneAssets.from_engine(demo_engine, load_bvt_suite(demo_dir / "bvts.jsonl"))
+        grid = GridSpec(points=(0.0, 0.25, 1.0, 4.0))
+        spec = TuneSpec(free_params=(("intent_weights.video_publisher", grid),),
+                        budget=20, guardrail_epsilon=1.0)
+
+        def with_weight(point):
+            weights = dict(demo_engine.ranker_config.intent_weights, video_publisher=point)
+            return demo_engine.ranker_config.replace(intent_weights=weights)
+
+        values = [objective(with_weight(p), demo_engine, assets, spec)[0] for p in grid.values()]
+        best = values.index(max(values))  # earliest wins ties
+        assert values[0] < values[best]
+        result = tune(with_weight(0.0), spec, demo_engine, assets)
+        assert result.best_config == with_weight(grid.values()[best])
+        assert result.best_objective == values[best]
 
     def test_guardrail_rejects_objective_improving_candidate(self, guardrail_dir):
         engine = load_engine(guardrail_dir / "engine.json")
