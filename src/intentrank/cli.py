@@ -23,6 +23,7 @@ from .corpus import load_corpus, save_corpus
 from .engine import EngineHandle, load_engine
 from .errors import IntentRankError
 from .evaluation import ab_compare, load_bvt_suite, run_bvts, save_bvt_report
+from .index import tokenize
 from .ranker import RANKER_WEIGHTS, RankerConfig, explain, export_traces
 from .records import read_config, write_records
 from .synth import FIXTURE_BUILDERS, write_fixture
@@ -32,6 +33,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+
+#: `serve` answers a longer `q` with 400 before any search work, since a
+#: search's cost grows with the query's terms
+MAX_QUERY_CHARS = 256
+MAX_QUERY_TERMS = 32
 
 
 class _Parser(argparse.ArgumentParser):
@@ -319,10 +325,10 @@ class _Handler(BaseHTTPRequestHandler):
         params = {k: v[0] for k, v in parse_qs(url.query, keep_blank_values=True).items()}
         try:
             if url.path == "/search":
-                result = self.engine.search(_param(params, "q"), _param(params, "user"))
+                result = self.engine.search(_query(params), _param(params, "user"))
                 self._send(200, _render_ranked(self.engine, result) + "\n")
             elif url.path == "/explain":
-                result = self.engine.search(_param(params, "q"), _param(params, "user"))
+                result = self.engine.search(_query(params), _param(params, "user"))
                 self._send(200, explain(result.ranked, _param(params, "doc")))
             else:
                 self._send(404, f"unknown path {url.path}\n")
@@ -340,6 +346,14 @@ def _param(params: dict, name: str) -> str:
     if not value:
         raise IntentRankError(f"empty query parameter {name!r}")
     return value
+
+
+def _query(params: dict) -> str:
+    text = _param(params, "q")
+    if len(text) > MAX_QUERY_CHARS or len(tokenize(text)) > MAX_QUERY_TERMS:
+        raise IntentRankError(f"query too long: at most {MAX_QUERY_CHARS} characters "
+                              f"and {MAX_QUERY_TERMS} terms")
+    return text
 
 
 def make_server(engine: EngineHandle, host: str, port: int) -> ThreadingHTTPServer:

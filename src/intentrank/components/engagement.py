@@ -23,10 +23,10 @@ from .generic import (
     DEFAULT_LOCATION_TAU_KM,
     DEFAULT_RELATION_WEIGHTS,
     Scorer,
-    location_column,
     location_decay,
-    social_column,
+    location_sigma,
     social_relevance_value,
+    social_sigma,
     squash,
 )
 from .signals import SharedSignals
@@ -58,9 +58,9 @@ FEATURES: dict[str, Feature] = {
     "proximity": Feature(lambda s: s.proximity, lambda f: f.proximity),
     "title_hit_ratio": Feature(lambda s: s.title_hit_ratio, lambda f: f.title_hit_ratio),
     "social": Feature(lambda s: social_relevance_value(s.relations, DEFAULT_RELATION_WEIGHTS),
-                      lambda f: social_column(f, DEFAULT_RELATION_WEIGHTS)),
+                      lambda f: social_sigma(f, DEFAULT_RELATION_WEIGHTS)),
     "location": Feature(lambda s: location_decay(s.distance_km, DEFAULT_LOCATION_TAU_KM),
-                        lambda f: location_column(f, DEFAULT_LOCATION_TAU_KM)),
+                        lambda f: location_sigma(f, DEFAULT_LOCATION_TAU_KM)),
     "language": Feature(lambda s: s.language_overlap, lambda f: f.language_overlap),
     "quality": Feature(lambda s: s.quality_mean, lambda f: f.quality),
     "ctr_qd": Feature(lambda s: s.ctr_qd(),

@@ -5,10 +5,11 @@ scale. Each scorer is a thin class with two readings of one definition:
 `column` scores a whole `CandidateFrame` at once, which is what search
 runs, and `score` reads one candidate's SharedSignals, the per-candidate
 reference path. Where a value has a formula, the formula is defined once here
-and shared by both readings and by the engagement feature of the same name;
-elementwise numpy on float64 gives the same bits as the scalar formula. The
-reference implementations the tests check them against live in
-`tests/oracles.py`.
+and shared by both readings and by the engagement feature of the same name,
+whose frame column is computed once per frame (`social_sigma`,
+`location_sigma`); elementwise numpy on float64 gives the same bits as the
+scalar formula. The reference implementations the tests check them against
+live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -160,6 +161,18 @@ def location_column(frame: "CandidateFrame", tau_km: float) -> np.ndarray:
     return column_of(location_decay(d, tau_km) for d in frame.distance_km)
 
 
+def social_sigma(frame: "CandidateFrame", weights: Mapping[str, float]) -> np.ndarray:
+    """`social_column`, run once per frame and weights: the scorer and the
+    engagement feature `social` share it."""
+    return frame.derived(("social", frozenset(weights.items())),
+                         lambda: social_column(frame, weights))
+
+
+def location_sigma(frame: "CandidateFrame", tau_km: float) -> np.ndarray:
+    """`location_column`, run once per frame and tau."""
+    return frame.derived(("location", tau_km), lambda: location_column(frame, tau_km))
+
+
 class Scorer:
     """Base scoring component: pure (ctx, doc, signals) -> [0,1], and the same
     value for every row of a frame at once."""
@@ -202,7 +215,7 @@ class SocialRelevanceScorer(Scorer):
         return social_relevance_value(signals.relations, self.weights)
 
     def column(self, ctx, frame):
-        return social_column(frame, self.weights)
+        return social_sigma(frame, self.weights)
 
 
 class LocationRelevanceScorer(Scorer):
@@ -216,7 +229,7 @@ class LocationRelevanceScorer(Scorer):
         return location_decay(signals.distance_km, self.tau_km)
 
     def column(self, ctx, frame):
-        return location_column(frame, self.tau_km)
+        return location_sigma(frame, self.tau_km)
 
 
 class LanguageMatchScorer(Scorer):

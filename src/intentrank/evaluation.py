@@ -8,6 +8,7 @@ rate. A/B comparison uses a paired bootstrap over per-query values.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,11 +16,11 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus import QueryRecord, RelevanceJudgment, StructuredSuggestion, social_relations
-from .engine import EngineHandle
+from .corpus import Document, QueryRecord, RelevanceJudgment, StructuredSuggestion
+from .engine import EngineHandle, SearchResult
 from .errors import IntentRankError, RecordParseError
-from .ranker import RankedList, RankerConfig, ScoreTable, combine
-from .records import Field, Table, list_of, read_table, string, write_records
+from .ranker import RankedList, RankerConfig, ScoreStack, ScoreTable, StackRanking, rank_stack
+from .records import EMPTY_SET, Field, Table, list_of, read_table, string, write_records
 
 log = logging.getLogger(__name__)
 
@@ -31,19 +32,75 @@ BOOTSTRAP_CHUNK = 1 << 18
 
 
 class TableMemo:
-    """Score tables of one engine, by (query_text, user_id, suggestion).
+    """Score tables of one engine, by (query_text, user_id, suggestion), and
+    the rankings of all of them under the last two configs.
 
     A table holds everything about a query's candidates that no RankerConfig
-    changes, so ranking a key under any later config is a `ranker.combine`
-    over cached columns: no detection, retrieval, signals or component
-    scoring. `tune` and `ab_compare` share one memo across every evaluation
-    of a call; a standalone evaluation makes its own. Nothing is kept on the
+    changes. Each key's table comes from one `engine.search`, on the key's
+    first read, in read order. The memo stacks its tables
+    (`ranker.ScoreStack`) and ranks every key under a config in one
+    `ranker.rank_stack` pass. It keeps the passes of the last two configs:
+    the metrics of one `tune` evaluation (sgcr, NDCG, BVTs) share one, and
+    `ab_compare`, which alternates its two arms metric by metric, reuses
+    both until a new key is searched. It also keeps the searcher relations
+    of each table's rows, read by BVT `top1` checks; no config changes them.
+
+    `tune` and `ab_compare` share one memo across every evaluation of a
+    call; a standalone evaluation makes its own. Nothing is kept on the
     engine, so a serving process does not grow.
     """
 
     def __init__(self, engine: EngineHandle) -> None:
         self.engine = engine
-        self._tables: dict[tuple, ScoreTable] = {}
+        self._index: dict[tuple, int] = {}  # key -> position in _tables
+        self._tables: list[ScoreTable] = []
+        self._relations: list[tuple[frozenset, ...]] = []  # per table, per row
+        self._stack: Optional[ScoreStack] = None  # None once a search adds a table
+        # fingerprint -> pass, of the last two configs (ab_compare's two arms)
+        self._rankings: dict[str, StackRanking] = {}
+
+    def _search(self, key: tuple, config: Optional[RankerConfig]) -> SearchResult:
+        query_text, user_id, suggestion = key
+        result = self.engine.search(query_text, user_id, config=config, suggestion=suggestion)
+        self._index[key] = len(self._tables)
+        self._tables.append(result.table)
+        self._relations.append(result.frame.relations)
+        self._stack = None
+        return result
+
+    def positions(self, keys: Sequence[tuple], config: Optional[RankerConfig]) -> list[int]:
+        """Each key's table position, searching each new key once, in order."""
+        out = []
+        for key in keys:
+            if key not in self._index:
+                self._search(key, config)
+            out.append(self._index[key])
+        return out
+
+    def ranking(self, config: Optional[RankerConfig]) -> StackRanking:
+        """Every memoised key ranked under `config` (default: the engine's)."""
+        config = config if config is not None else self.engine.ranker_config
+        if self._stack is None:
+            self._stack = ScoreStack(self._tables)
+            self._rankings.clear()
+        ranking = self._rankings.get(config.fingerprint())
+        if ranking is None:
+            if len(self._rankings) == 2:
+                del self._rankings[next(iter(self._rankings))]
+            ranking = self._rankings[config.fingerprint()] = rank_stack(self._stack, config)
+        return ranking
+
+    def doc_ids(self, keys: Sequence[tuple], config: Optional[RankerConfig]) -> list[tuple]:
+        """Each key's ranked doc ids under `config`."""
+        positions = self.positions(keys, config)
+        if not positions:
+            return []
+        ranking = self.ranking(config)
+        return [ranking.doc_ids(i) for i in positions]
+
+    def top_relations(self, ranking: StackRanking, i: int) -> frozenset:
+        """The searcher's relations to table i's first-ranked document."""
+        return self._relations[i][ranking.top_row(i)]
 
     def ranked(
         self,
@@ -53,13 +110,9 @@ class TableMemo:
         suggestion: Optional[StructuredSuggestion] = None,
     ) -> RankedList:
         key = (query_text, user_id, suggestion)
-        table = self._tables.get(key)
-        if table is None:
-            result = self.engine.search(query_text, user_id, config=config, suggestion=suggestion)
-            self._tables[key] = result.table
-            return result.ranked
-        return combine(table, config if config is not None else self.engine.ranker_config,
-                       query_id=query_text)
+        if key not in self._index:
+            return self._search(key, config).ranked
+        return self.ranking(config).ranked(self._index[key], query_id=query_text)
 
 
 def _memo_for(engine: EngineHandle, memo: Optional[TableMemo]) -> TableMemo:
@@ -177,35 +230,39 @@ def load_bvt_suite(path: str | Path) -> list[BVTCase]:
     return cases
 
 
+def _rank_of(ids: Sequence[str], doc_id: str) -> Optional[int]:
+    """1-based rank of doc_id in ids, or None."""
+    return ids.index(doc_id) + 1 if doc_id in ids else None
+
+
 def _check_expectation(
-    exp: Expectation, ranked: RankedList, engine: EngineHandle, case: BVTCase
+    exp: Expectation, ids: Sequence[str], top: Optional[Document], top_relations: frozenset
 ) -> tuple[bool, str]:
-    ids = ranked.doc_ids()
+    """Check one expectation against a ranked list's doc ids; `top` is the
+    first-ranked document and `top_relations` the searcher's relations to it."""
     if exp.kind == "top1":
-        if not ids:
+        if top is None:
             return False, "result list is empty"
-        doc = engine.corpus.documents[ids[0]]
-        relations = social_relations(engine.corpus.graph.searcher_view(case.user_id), doc)
         for key, value in exp.predicate:
-            if key == "type" and doc.doc_type != value:
-                return False, f"top1 {doc.doc_id} has type {doc.doc_type}, wanted {value}"
-            if key == "relation" and value not in relations:
+            if key == "type" and top.doc_type != value:
+                return False, f"top1 {top.doc_id} has type {top.doc_type}, wanted {value}"
+            if key == "relation" and value not in top_relations:
                 return False, (
-                    f"top1 {doc.doc_id} relations {sorted(relations)} lack {value!r}"
+                    f"top1 {top.doc_id} relations {sorted(top_relations)} lack {value!r}"
                 )
-            if key == "author" and doc.author_id != value:
-                return False, f"top1 {doc.doc_id} author {doc.author_id}, wanted {value}"
-            if key == "publisher" and doc.publisher_id != value:
-                return False, f"top1 {doc.doc_id} publisher {doc.publisher_id}, wanted {value}"
-            if key == "doc" and doc.doc_id != value:
-                return False, f"top1 is {doc.doc_id}, wanted {value}"
+            if key == "author" and top.author_id != value:
+                return False, f"top1 {top.doc_id} author {top.author_id}, wanted {value}"
+            if key == "publisher" and top.publisher_id != value:
+                return False, f"top1 {top.doc_id} publisher {top.publisher_id}, wanted {value}"
+            if key == "doc" and top.doc_id != value:
+                return False, f"top1 is {top.doc_id}, wanted {value}"
             if key == "lang":
-                best = max(doc.languages, key=lambda c: (doc.languages[c], c), default=None)
+                best = max(top.languages, key=lambda c: (top.languages[c], c), default=None)
                 if best != value:
-                    return False, f"top1 {doc.doc_id} main language {best}, wanted {value}"
+                    return False, f"top1 {top.doc_id} main language {best}, wanted {value}"
         return True, ""
     if exp.kind == "doc_at_rank":
-        rank_pos = ranked.rank_of(exp.doc_id)
+        rank_pos = _rank_of(ids, exp.doc_id)
         if rank_pos is None or rank_pos > exp.limit:
             return False, f"{exp.doc_id} at rank {rank_pos}, wanted <= {exp.limit}"
         return True, ""
@@ -215,11 +272,11 @@ def _check_expectation(
         return False, f"{exp.doc_id} not in top {exp.limit}"
     if exp.kind == "excludes":
         if exp.doc_id in ids:
-            return False, f"{exp.doc_id} present at rank {ranked.rank_of(exp.doc_id)}"
+            return False, f"{exp.doc_id} present at rank {_rank_of(ids, exp.doc_id)}"
         return True, ""
     if exp.kind == "ordered_pair":
-        rank_a = ranked.rank_of(exp.doc_id)
-        rank_b = ranked.rank_of(exp.other_doc_id)
+        rank_a = _rank_of(ids, exp.doc_id)
+        rank_b = _rank_of(ids, exp.other_doc_id)
         if rank_a is None:
             return False, f"{exp.doc_id} not in results"
         if rank_b is not None and rank_b <= rank_a:
@@ -295,22 +352,32 @@ def run_bvts(
 ) -> BVTReport:
     """Run every case through retrieve+rank; report is sorted by case_id."""
     memo = _memo_for(engine, memo)
+    cases = sorted(suite, key=lambda c: c.case_id)
+    users, documents = engine.corpus.users, engine.corpus.documents
+    positions = iter(memo.positions(
+        [(case.query_text, case.user_id, None) for case in cases if case.user_id in users],
+        config))
+    ranking: Optional[StackRanking] = None
     report = BVTReport()
-    for case in sorted(suite, key=lambda c: c.case_id):
-        if case.user_id not in engine.corpus.users:
+    for case in cases:
+        if case.user_id not in users:
             report.results.append(
                 CaseResult(case.case_id, "error", case.intent_tag, case.language_tag,
                            detail=f"unknown user_id {case.user_id!r}")
             )
             continue
-        ranked = memo.ranked(case.query_text, case.user_id, config)
+        i = next(positions)
+        ranking = ranking or memo.ranking(config)
+        ids = ranking.doc_ids(i)
+        top = documents[ids[0]] if ids else None
+        relations = memo.top_relations(ranking, i) if ids else EMPTY_SET
         failure: Optional[tuple[str, str]] = None
         for exp in case.expectations:
-            ok, detail = _check_expectation(exp, ranked, engine, case)
+            ok, detail = _check_expectation(exp, ids, top, relations)
             if not ok:
                 failure = (exp.describe(), detail)
                 break
-        excerpt = tuple((item.doc_id, item.score) for item in ranked.items[:5])
+        excerpt = tuple(zip(ids[:5], ranking.scores(i)[:5]))
         if failure is None:
             report.results.append(
                 CaseResult(case.case_id, "pass", case.intent_tag, case.language_tag,
@@ -336,17 +403,22 @@ def gain(grade: int) -> float:
     return float(2 ** grade - 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _discounts(k: int) -> tuple[float, ...]:
+    """log2(i + 1) for ranks i = 1..k, each numpy's scalar log2 as a float."""
+    return tuple(float(np.log2(i + 1)) for i in range(1, k + 1))
+
+
 def ndcg_at_k(ranked_doc_ids: Sequence[str], grades: Mapping[str, int], k: int) -> Optional[float]:
     """Graded NDCG@k, or None when the query has no positive judgments."""
-    judged_positive = [g for g in grades.values() if g > 0]
-    if not judged_positive:
+    if not any(g > 0 for g in grades.values()):
         return None
+    discounts = _discounts(k)
     dcg = 0.0
-    for i, doc_id in enumerate(ranked_doc_ids[:k], start=1):
-        g = grades.get(doc_id, 0)
-        dcg += gain(g) / np.log2(i + 1)
-    ideal = sorted(grades.values(), reverse=True)[:k]
-    idcg = sum(gain(g) / np.log2(i + 1) for i, g in enumerate(ideal, start=1))
+    for doc_id, discount in zip(ranked_doc_ids, discounts):
+        dcg += gain(grades.get(doc_id, 0)) / discount
+    ideal = sorted(grades.values(), reverse=True)
+    idcg = sum(gain(g) / discount for g, discount in zip(ideal, discounts))
     return float(dcg / idcg) if idcg > 0 else None
 
 
@@ -404,15 +476,11 @@ def _ranking_metric(
 ) -> MetricResult:
     memo = _memo_for(engine, memo)
     grouped = group_judgments(judgments)
-    values = []
-    excluded = 0
-    for (query_text, user_id) in sorted(grouped):
-        ranked = memo.ranked(query_text, user_id, config)
-        value = fn(ranked.doc_ids(), grouped[(query_text, user_id)], k)
-        if value is None:
-            excluded += 1
-            continue
-        values.append(value)
+    keys = sorted(grouped)
+    lists = memo.doc_ids([(query_text, user_id, None) for query_text, user_id in keys], config)
+    scored = [fn(ids, grouped[key], k) for ids, key in zip(lists, keys)]
+    values = [value for value in scored if value is not None]  # None: no positive judgment
+    excluded = len(scored) - len(values)
     if not values:
         raise IntentRankError(f"{name}@{k} undefined: no query with positive judgments")
     return MetricResult(
@@ -444,11 +512,10 @@ def sgcr_replay(
     if not log_records:
         raise IntentRankError("sgcr replay needs a nonempty query log")
     memo = _memo_for(engine, memo)
-    per_query = []
-    for record in log_records:
-        ranked = memo.ranked(record.query_text, record.user_id, config, record.suggestion_click)
-        top = set(ranked.doc_ids()[:k])
-        per_query.append(1.0 if record.good_clicked & top else 0.0)
+    lists = memo.doc_ids(
+        [(r.query_text, r.user_id, r.suggestion_click) for r in log_records], config)
+    per_query = [1.0 if record.good_clicked.intersection(ids[:k]) else 0.0
+                 for record, ids in zip(log_records, lists)]
     return MetricResult(
         name="sgcr",
         value=float(np.mean(per_query)),

@@ -15,8 +15,8 @@ every transcendental (`math.exp`, the haversine) stays scalar Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -77,9 +77,20 @@ class CandidateFrame:
     doc_clicks: np.ndarray
     doc_good_clicks: np.ndarray
     detection: DetectionResult
+    _derived: dict = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.doc_ids)
+
+    def derived(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """`build()`, run once per frame and key, read-only: a column that more
+        than one reader needs, such as a scorer and the engagement feature of
+        the same name. A frame belongs to one search, so no lock is needed."""
+        column = self._derived.get(key)
+        if column is None:
+            column = self._derived[key] = build()
+            column.flags.writeable = False
+        return column
 
 
 def _text_columns(index: ShardedIndex, query_tokens: Sequence[str], rows: np.ndarray,

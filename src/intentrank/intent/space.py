@@ -59,9 +59,6 @@ class IntentDistribution:
     def total(self) -> float:
         return sum(self.probs.values())
 
-    def top(self) -> tuple[str, float]:
-        return max(self.items(), key=lambda kv: (kv[1], kv[0]))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntentDistribution) and self.probs == other.probs
 

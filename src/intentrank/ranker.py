@@ -8,10 +8,13 @@ where c ranges over generic components and t over intents whose probability
 clears the trigger threshold. The score is linear in the weights and every
 sigma is fixed per query, so ranking is split in two: `frame_table` runs
 each component once per query, as one column over the query's
-CandidateFrame, into a config-independent ScoreTable, and `combine` applies
-one RankerConfig to it (gate, weighted sum, sort). Serving does both once;
-tuning and A/B build a table once per distinct query and combine it under
-every config they try. `build_table` builds the same table from
+CandidateFrame, into a config-independent ScoreTable, and `rank_stack`
+applies one RankerConfig (gate, weighted sum, sort, cut at k_final) to a
+ScoreStack, the rows of one or more tables concatenated. Serving ranks its
+one table (`combine`); tuning and A/B stack one table per distinct query
+(`evaluation.TableMemo`) and rank every query under a config in one pass.
+So the weighted sum and the sort key have one definition for serving,
+replay, A/B and tuning. `build_table` builds the same table from
 per-candidate signals, one `score` call per candidate: the reference path.
 The tests check the split against a per-document reference evaluator and
 against the expanded mixture form sum_t P(t|q) * (generic sum + w_t *
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import difflib
 import hashlib
+import itertools
 import json
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -297,48 +301,150 @@ def frame_table(ctx: QueryContext, frame: "CandidateFrame",
     )
 
 
+def _fires(p, threshold: float):
+    """The trigger gate: does an intent with probability `p` (a float, or an
+    array of them) clear `threshold`? P(t|q) = 0 never fires, even at 0."""
+    return p >= threshold if threshold > 0.0 else p > 0.0
+
+
 def _triggered(table: ScoreTable, config: RankerConfig) -> list[str]:
     """Weighted intents whose probability clears the threshold, sorted."""
-    out = []
+    return [intent_id for intent_id in sorted(config.intent_weights)
+            if _fires(table.intents.get(intent_id), config.trigger_threshold)]
+
+
+class ScoreStack:
+    """The rows of one or more ScoreTables of one registry, concatenated in
+    table order, so that `rank_stack` ranks all of them under a config in
+    one pass.
+
+    Table i holds rows offsets[i]:offsets[i + 1]. `tie_rank` stays per table,
+    since the table index is the first sort key. An intent column is zero in
+    the rows of a table that has none; its P(t|q) there is 0, so no config
+    reads them. `kept` lists the rows that pass policy, table by table, so
+    table i's ranked rows are always positions kept_bounds[i]:kept_bounds[i + 1]
+    of a pass's sort order. One table, search's case, is stacked without
+    copying its arrays; for tables of a few dozen rows the concatenating
+    path costs about half as much again as the rest of `combine`.
+    """
+
+    __slots__ = ("tables", "offsets", "segment", "doc_ids", "quality", "tie_rank", "generic",
+                 "intent", "probs", "registry", "kept", "kept_bounds")
+
+    def __init__(self, tables: Sequence[ScoreTable]) -> None:
+        self.tables = tuple(tables)
+        self.registry = self.tables[0].registry
+        if len(self.tables) == 1:
+            (table,) = self.tables
+            n = len(table.doc_ids)
+            self.offsets = [0, n]
+            self.segment = np.zeros(n, dtype=np.int64)  # table index per row
+            self.doc_ids, self.quality, self.tie_rank = table.doc_ids, table.quality, table.tie_rank
+            self.generic, self.intent = table.generic, table.intent
+            # intent id -> P(t|q) per table, for every intent with a column
+            self.probs = {t: np.array([table.intents.get(t)]) for t in table.intent}
+            self.kept = np.flatnonzero(~table.rejected)
+            self.kept_bounds = [0, len(self.kept)]
+            return
+        sizes = [len(t.doc_ids) for t in self.tables]
+        intent_ids = sorted({intent_id for t in self.tables for intent_id in t.intent})
+        self.offsets = list(itertools.accumulate(sizes, initial=0))
+        self.segment = np.repeat(np.arange(len(sizes)), sizes)
+        self.doc_ids = tuple(doc_id for t in self.tables for doc_id in t.doc_ids)
+        self.quality = np.concatenate([t.quality for t in self.tables])
+        self.tie_rank = np.concatenate([t.tie_rank for t in self.tables])
+        self.generic = {cid: np.concatenate([t.generic[cid] for t in self.tables])
+                        for cid in self.registry.generic}
+        self.intent = {intent_id: np.concatenate([t.intent.get(intent_id, np.zeros(n))
+                                                  for t, n in zip(self.tables, sizes)])
+                       for intent_id in intent_ids}
+        self.probs = {intent_id: np.array([t.intents.get(intent_id) for t in self.tables])
+                      for intent_id in intent_ids}
+        self.kept = np.flatnonzero(~np.concatenate([t.rejected for t in self.tables]))
+        self.kept_bounds = list(itertools.accumulate(
+            np.bincount(self.segment[self.kept], minlength=len(sizes)).tolist(), initial=0))
+
+
+class StackRanking:
+    """Every table of a stack ranked under one config."""
+
+    __slots__ = ("stack", "config", "total", "order", "fires", "_doc_ids")
+
+    def __init__(self, stack: ScoreStack, config: RankerConfig, total: np.ndarray,
+                 order: np.ndarray, fires: Mapping[str, np.ndarray]):
+        self.stack = stack
+        self.config = config
+        self.total = total
+        self.order = order  # the kept rows, table by table, each table's best first
+        self.fires = fires  # intent id -> triggered per table
+        self._doc_ids: list[Optional[tuple[str, ...]]] = [None] * len(stack.tables)
+
+    def rows(self, i: int) -> np.ndarray:
+        """Table i's ranked rows, cut at k_final."""
+        start, stop = self.stack.kept_bounds[i], self.stack.kept_bounds[i + 1]
+        return self.order[start:min(stop, start + self.config.k_final)]
+
+    def doc_ids(self, i: int) -> tuple[str, ...]:
+        ids = self._doc_ids[i]
+        if ids is None:
+            ids = self._doc_ids[i] = tuple(map(self.stack.doc_ids.__getitem__,
+                                               self.rows(i).tolist()))
+        return ids
+
+    def scores(self, i: int) -> list[float]:
+        return self.total[self.rows(i)].tolist()
+
+    def top_row(self, i: int) -> Optional[int]:
+        """Table i's own row of its first-ranked document; None if it has none."""
+        rows = self.rows(i)
+        return int(rows[0]) - self.stack.offsets[i] if len(rows) else None
+
+    def ranked(self, i: int, query_id: str = "") -> RankedList:
+        """Table i's RankedList, with traces built on first read."""
+        rows = self.rows(i)
+        return RankedList(
+            query_id=query_id,
+            items=tuple(map(RankedItem, map(self.stack.doc_ids.__getitem__, rows.tolist()),
+                            self.total[rows].tolist())),
+            traces=_Traces(self.stack.tables[i], self.config),
+            config_fingerprint=self.config.fingerprint(),
+            triggered_intents=frozenset(t for t, fires in self.fires.items() if fires[i]),
+        )
+
+
+def rank_stack(stack: ScoreStack, config: RankerConfig) -> StackRanking:
+    """Gate, weight and sum every table's columns, then sort.
+
+    Terms are added in a fixed order (sorted generic ids, then sorted
+    intents, each intent term as (p * w) * sigma, only in the rows of tables
+    where that intent triggers), the same for every row, so a row's score
+    depends neither on the other candidates nor on the other tables. Ties
+    break by document quality (descending) then doc_id so the order is total
+    and reproducible. `StackRanking.rows` cuts each table at k_final.
+    """
+    validate_config(stack.registry, config)
+    total = np.zeros(len(stack.doc_ids))
+    for component_id in sorted(config.generic_weights):
+        total += config.generic_weights[component_id] * stack.generic[component_id]
+    fires = {}
     for intent_id in sorted(config.intent_weights):
-        p = table.intents.get(intent_id)
-        if p >= config.trigger_threshold and p > 0.0:
-            out.append(intent_id)
-    return out
+        p = stack.probs.get(intent_id)
+        if p is None:  # P(t|q) = 0 in every table
+            continue
+        fires[intent_id] = _fires(p, config.trigger_threshold)
+        if fires[intent_id].any():
+            coefficient = (p * config.intent_weights[intent_id])[stack.segment]
+            np.add(total, coefficient * stack.intent[intent_id], out=total,
+                   where=fires[intent_id][stack.segment])
+    kept = stack.kept
+    order = kept[np.lexsort((stack.tie_rank[kept], -stack.quality[kept], -total[kept],
+                             stack.segment[kept]))]
+    return StackRanking(stack, config, total, order, fires)
 
 
 def combine(table: ScoreTable, config: RankerConfig, query_id: str = "") -> RankedList:
-    """Gate, weight and sum the table's columns, then sort and truncate.
-
-    Terms are added in a fixed order (sorted generic ids, then sorted
-    intents, each intent term as (p * w) * sigma), the same for every row,
-    so a row's score does not depend on the other candidates. Ties break by
-    document quality (descending) then doc_id so the order is total and
-    reproducible.
-    """
-    validate_config(table.registry, config)
-    total = np.zeros(len(table.doc_ids))
-    for component_id in sorted(config.generic_weights):
-        total += config.generic_weights[component_id] * table.generic[component_id]
-    triggered = _triggered(table, config)
-    for intent_id in triggered:
-        p = table.intents.get(intent_id)
-        total += (p * config.intent_weights[intent_id]) * table.intent[intent_id]
-
-    rows = np.flatnonzero(~table.rejected)
-    rows = rows[np.lexsort((table.tie_rank[rows], -table.quality[rows], -total[rows]))]
-    rows = rows[: config.k_final]
-    items = tuple(
-        RankedItem(table.doc_ids[row], score)
-        for row, score in zip(rows.tolist(), total[rows].tolist())
-    )
-    return RankedList(
-        query_id=query_id,
-        items=items,
-        traces=_Traces(table, config),
-        config_fingerprint=config.fingerprint(),
-        triggered_intents=frozenset(triggered),
-    )
+    """Rank one table under one config: `rank_stack` over a one-table stack."""
+    return rank_stack(ScoreStack([table]), config).ranked(0, query_id)
 
 
 class _Traces(Mapping):

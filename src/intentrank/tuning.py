@@ -12,7 +12,8 @@ expectation-test pass rate drops more than epsilon below the starting
 config's rate. Every evaluation is cached by config fingerprint, so the
 search is deterministic and never spends budget twice on one point. One
 TableMemo serves the whole search: each distinct query is searched once,
-and every evaluation after the first only re-combines cached score tables.
+and every evaluation after the first ranks all the cached score tables in
+one stacked pass (`ranker.rank_stack`).
 """
 
 from __future__ import annotations
@@ -356,10 +357,8 @@ def tune(
             for path, value in zip(search.paths, point):
                 config = set_weight(config, path, value)
             before = search.best_objective
-            result = search.evaluate(config)
+            search.evaluate(config)  # budget is left, so this evaluates or reads the cache
             tried += 1
-            if result is None:
-                break
             if search.best_objective > before:
                 # restart found a better basin; descend from it
                 search.descend(config)

@@ -5,12 +5,13 @@ from __future__ import annotations
 import json
 import shutil
 import threading
+from urllib.parse import urlencode
 from urllib.request import urlopen
 from urllib.error import HTTPError
 
 import pytest
 
-from intentrank.cli import build_parser, main, make_server
+from intentrank.cli import MAX_QUERY_CHARS, MAX_QUERY_TERMS, build_parser, main, make_server
 from intentrank.engine import load_engine
 
 
@@ -450,6 +451,28 @@ class TestServe:
         blank = next(p.split("=")[0] for p in query.split("&") if p.endswith("="))
         with exc.value:
             assert f"empty query parameter '{blank}'" in exc.value.read().decode()
+
+    @pytest.mark.parametrize("path", ["/search", "/explain"])
+    def test_long_query_400_before_search(self, served, monkeypatch, path):
+        server, engine = served
+        searched = []
+        search = engine.search
+        monkeypatch.setattr(engine, "search", lambda *a, **k: searched.append(a) or search(*a, **k))
+        at_cap = " ".join(["taylor"] * MAX_QUERY_TERMS)
+        too_many_terms = " ".join(["taylor"] * (MAX_QUERY_TERMS + 1))
+        too_long = "taylor" + "s" * MAX_QUERY_CHARS  # one term
+        assert len(at_cap) <= MAX_QUERY_CHARS and len(too_many_terms) <= MAX_QUERY_CHARS
+        message = (f"error: query too long: at most {MAX_QUERY_CHARS} characters "
+                   f"and {MAX_QUERY_TERMS} terms\n")
+        for query in (too_many_terms, too_long):
+            with pytest.raises(HTTPError) as exc:
+                urlopen(f"{server}{path}?{urlencode(dict(q=query, user='u_alice', doc='d'))}")
+            assert exc.value.code == 400
+            with exc.value:
+                assert exc.value.read().decode() == message
+        assert searched == []
+        body = urlopen(f"{server}/search?{urlencode(dict(q=at_cap, user='u_alice'))}")
+        assert body.status == 200 and len(searched) == 1
 
     def test_internal_error_500_then_serving_goes_on(self, served, monkeypatch, capsys):
         server, engine = served

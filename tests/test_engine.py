@@ -13,6 +13,8 @@ from oracles import title_hit_ratio
 
 import intentrank.engine as engine_mod
 from intentrank import frame as frame_mod
+from intentrank.components import generic as generic_mod
+from intentrank.components.engagement import EngagementModel, EngagementScorer
 from intentrank import index as index_mod
 from intentrank.corpus import SocialGraph
 from intentrank.engine import EngineHandle, load_engine
@@ -229,6 +231,45 @@ class TestWorkPerSearch:
         # social_relations(view, doc)
         assert sorted(args[1].doc_id for args in related) == sorted(candidates - rejected)
         assert {result.frame.doc_ids[i] for i in result.frame.kept} == candidates - rejected
+
+    def test_shared_columns_run_once_per_search(self, demo_engine, monkeypatch):
+        calls = {"social_column": [], "location_column": []}
+        for name, log in calls.items():
+            fn = getattr(generic_mod, name)
+            for module in [m for key, m in sys.modules.items() if key.startswith("intentrank")]:
+                if getattr(module, name, None) is fn:
+                    self.count(monkeypatch, module, name, log)
+        registry = demo_engine.registry
+        # the default registry reads `social` twice: its scorer and the
+        # engagement feature of the same name
+        assert {"social", "location"} <= set(registry.generic)
+        assert "social" in registry.generic["engagement"].model.features
+        searches = (("taylor swift", "u_alice"), ("posts i have seen", "u_alice"))
+        for query, user in searches:
+            assert len(demo_engine.search(query, user).frame) > 1
+        assert len(calls["social_column"]) == len(calls["location_column"]) == len(searches)
+        # an engagement model that reads `location` too shares the scorer's column
+        ctx = demo_engine.context_for("taylor swift", "u_alice")
+        frame = demo_engine.search("taylor swift", "u_alice").frame
+        model = EngagementModel.zeros(("social", "location"))
+        EngagementScorer(model=model).column(ctx, frame)
+        assert len(calls["social_column"]) == len(calls["location_column"]) == len(searches) + 1
+
+    def test_shared_columns_follow_their_parameters(self, demo_engine):
+        """A column shared within a frame is shared only between readers with
+        the same relation weights or tau."""
+        frame = demo_engine.search("taylor swift", "u_alice").frame
+        default = generic_mod.social_sigma(frame, generic_mod.DEFAULT_RELATION_WEIGHTS)
+        halved = {rel: w / 2 for rel, w in generic_mod.DEFAULT_RELATION_WEIGHTS.items()}
+        assert default.any()
+        scorer = generic_mod.SocialRelevanceScorer(relation_weights=halved)
+        assert list(scorer.column(None, frame)) == [x / 2 for x in default]
+        # u_bob is about 13 km from the one located candidate
+        frame = demo_engine.search("taylor swift", "u_bob").frame
+        near = generic_mod.location_sigma(frame, 5.0)
+        assert near.any()
+        assert list(generic_mod.location_sigma(frame, 500.0)) == list(
+            generic_mod.location_column(frame, 500.0)) != list(near)
 
     def test_no_per_candidate_calls(self, demo_engine, monkeypatch):
         calls = {name: [] for name in ("build_signals", "score", "Candidate", "positions")}

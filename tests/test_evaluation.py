@@ -123,6 +123,34 @@ class TestRunBvts:
         assert run_bvts([case], demo_engine).results[0].status == "pass"
 
 
+class TestExpectationChecks:
+    """Each top1 predicate and list expectation on the demo engine, through
+    run_bvts; a failure reports the expectation's own text."""
+
+    @pytest.mark.parametrize("query, text, detail", [
+        ("taylor swift", "top1: lang=en", None),
+        ("taylor swift", "top1: lang=fr", "top1 d_vid_shake main language en, wanted fr"),
+        ("zzzq nothing", "top1: type=video", "result list is empty"),
+        ("taylor swift", "top1: type=post", "top1 d_vid_shake has type video, wanted post"),
+        ("posts i have seen", "top1: author=u_carol",
+         "top1 d_post_bob author u_bob, wanted u_carol"),
+        ("posts i have seen", "top1: type=post author=u_bob lang=en", None),
+        ("taylor swift", "doc@rank: d_page_tswift <= 2", "d_page_tswift at rank 3, wanted <= 2"),
+        ("taylor swift", "doc@rank: d_page_tswift <= 3", None),
+        ("taylor swift", "topk: d_page_tswift 2", "d_page_tswift not in top 2"),
+        ("taylor swift", "excludes: d_event_show", "d_event_show present at rank 2"),
+    ])
+    def test_expectation(self, demo_engine, query, text, detail):
+        case = BVTCase(case_id="c", query_text=query, user_id="u_alice",
+                       expectations=(parse_expectation(text),))
+        result = run_bvts([case], demo_engine).results[0]
+        if detail is None:
+            assert (result.status, result.failed_expectation, result.detail) == ("pass", None, None)
+        else:
+            assert (result.status, result.failed_expectation, result.detail) == (
+                "fail", text, detail)
+
+
 class TestNdcg:
     def test_ideal_ordering_scores_one(self):
         grades = {"a": 4, "b": 2, "c": 1}

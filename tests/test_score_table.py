@@ -11,12 +11,15 @@ from oracles import rank_oracle
 
 import intentrank.engine as engine_mod
 import intentrank.ranker as ranker_mod
+import intentrank.tuning as tuning_mod
 from intentrank.components.generic import Scorer
 from intentrank.components.signals import SharedSignals
-from intentrank.corpus import QualitySignals
+from intentrank.corpus import QualitySignals, SocialGraph
 from intentrank.engine import EngineHandle, load_engine
 from intentrank.errors import IntentRankError
-from intentrank.evaluation import TableMemo, ab_compare, load_bvt_suite, sgcr_replay
+from intentrank.evaluation import (
+    TableMemo, ab_compare, load_bvt_suite, mean_err, mean_ndcg, sgcr_replay,
+)
 from intentrank.intent.space import IntentDistribution
 from intentrank.ranker import RankerConfig, build_table, combine, rank
 from intentrank.tuning import GridSpec, TuneAssets, TuneSpec, objective, set_weight, tune
@@ -212,6 +215,83 @@ class TestTableMemo:
                                    record.suggestion_click).items == \
                     demo_engine.rank_for_record(record, config).items
             assert shared == sgcr_replay(demo_engine.query_log, demo_engine, config)
+
+    def test_work_per_evaluation(self, demo_dir, monkeypatch):
+        """Call counts of a tune; nothing here is timed. A warm evaluation
+        (no new key) validates its config once and ranks every key in one
+        pass, with no per-key combine; the searcher's relations come from
+        the search, so there is one searcher view per distinct key."""
+        engine = load_engine(demo_dir / "engine.json")
+        suite = load_bvt_suite(engine.bvt_suite_path)
+        calls = {name: 0 for name in ("search", "validate_config", "combine", "searcher_view")}
+
+        def count(owner, name, key):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(EngineHandle, "search", "search")
+        count(ranker_mod, "validate_config", "validate_config")
+        count(ranker_mod, "combine", "combine")
+        count(engine_mod, "combine", "combine")
+        count(SocialGraph, "searcher_view", "searcher_view")
+        per_evaluation = []
+        objective_fn = tuning_mod.objective
+
+        def counted_objective(*args, **kwargs):
+            before = dict(calls)
+            out = objective_fn(*args, **kwargs)
+            per_evaluation.append({k: calls[k] - before[k] for k in calls})
+            return out
+
+        monkeypatch.setattr(tuning_mod, "objective", counted_objective)
+        assets = TuneAssets.from_engine(engine, suite)
+        result = tune(engine.ranker_config, self.spec(), engine, assets)
+        keys = len(demo_keys(engine, suite))
+        assert len(per_evaluation) == result.evaluations_used > 2
+        assert per_evaluation[0]["search"] == keys
+        for counts in per_evaluation[1:]:
+            assert counts == {"search": 0, "validate_config": 1, "combine": 0, "searcher_view": 0}
+        # every combine is the one inside a search
+        assert calls["search"] == calls["combine"] == calls["searcher_view"] == keys
+
+    def test_one_memo_over_two_judgment_lists(self, demo_engine):
+        memo = TableMemo(demo_engine)
+        judgments = demo_engine.judgments
+        half = judgments[: len(judgments) // 2]
+        for subset in (judgments, half, judgments):
+            for metric in (mean_ndcg, mean_err):
+                assert metric(demo_engine, subset, memo=memo) == metric(demo_engine, subset)
+
+    def test_judgment_list_edited_in_place(self, demo_engine):
+        """A memo reads a judgment list's current contents on every call."""
+        memo = TableMemo(demo_engine)
+        judgments = list(demo_engine.judgments)
+        before = mean_ndcg(demo_engine, judgments, memo=memo)
+        del judgments[len(judgments) // 2:]
+        after = mean_ndcg(demo_engine, judgments, memo=memo)
+        assert after == mean_ndcg(demo_engine, judgments)
+        assert after.per_query != before.per_query
+
+    def test_two_arms_alternating_rank_once_each(self, demo_engine, monkeypatch):
+        """ab_compare alternates its arms metric by metric; over the same keys
+        each arm's pass is made once."""
+        from intentrank import evaluation
+        calls = []
+        real = evaluation.rank_stack
+        monkeypatch.setattr(evaluation, "rank_stack",
+                            lambda stack, config: calls.append(config) or real(stack, config))
+        memo = TableMemo(demo_engine)
+        config_a = demo_engine.ranker_config
+        config_b = config_a.replace(trigger_threshold=0.5)
+        for metric in (mean_ndcg, mean_err):
+            for config in (config_a, config_b):
+                metric(demo_engine, demo_engine.judgments, config=config, memo=memo)
+        assert calls == [config_a, config_b]
 
     def test_memo_of_another_engine_rejected(self, demo_dir, demo_engine):
         other = load_engine(demo_dir / "engine.json")

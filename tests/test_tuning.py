@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+import intentrank.tuning as tuning_mod
 from intentrank.engine import load_engine
 from intentrank.errors import ConfigurationError, IntentRankError
 from intentrank.evaluation import load_bvt_suite, mean_ndcg, run_bvts, sgcr_replay
@@ -264,3 +265,69 @@ class TestTune:
         spec = demo_spec(free_params=(("generic_weights.ghost", GridSpec(points=(1.0,))),))
         with pytest.raises(ConfigurationError, match="not present"):
             tune(demo_engine.ranker_config, spec, demo_engine, assets)
+
+
+class TestSearchBudgetAndRestarts:
+    """The search itself, on a made-up objective over a 3 x 3 grid.
+
+    From the start (1, 1), every move along one axis scores 0.1, so
+    coordinate descent stops at the local maximum 0.5 after five
+    evaluations. Every point off both axes of the start beats it and climbs
+    towards (3, 3): a restart that lands there finds a better basin.
+    """
+
+    PATHS = ("generic_weights.text", "generic_weights.social")
+
+    @staticmethod
+    def value(a: float, b: float) -> float:
+        if a == b == 1.0:
+            return 0.5
+        if a == 1.0 or b == 1.0:
+            return 0.1
+        return 0.5 + (a + b) / 100
+
+    def run(self, demo_engine, monkeypatch, **spec):
+        grid = GridSpec(points=(1.0, 2.0, 3.0))
+        evaluated = []
+
+        def made_up(config, engine, assets, spec, memo=None):
+            point = tuple(get_weight(config, path) for path in self.PATHS)
+            evaluated.append(point)
+            return self.value(*point), {}
+
+        monkeypatch.setattr(tuning_mod, "objective", made_up)
+        start = demo_engine.ranker_config.replace(
+            generic_weights=dict(demo_engine.ranker_config.generic_weights, text=1.0, social=1.0))
+        spec = TuneSpec(free_params=tuple((path, grid) for path in self.PATHS), **spec)
+        result = tune(start, spec, demo_engine, TuneAssets([], [], []))
+        best = tuple(get_weight(result.best_config, path) for path in self.PATHS)
+        return result, evaluated, best
+
+    def test_descent_alone_stops_at_the_local_maximum(self, demo_engine, monkeypatch):
+        result, evaluated, best = self.run(demo_engine, monkeypatch, budget=50)
+        assert (best, result.best_objective, result.incomplete) == ((1.0, 1.0), 0.5, False)
+        assert len(evaluated) == result.evaluations_used == 5
+
+    def test_budget_runs_out_inside_the_first_sweep(self, demo_engine, monkeypatch):
+        result, evaluated, _ = self.run(demo_engine, monkeypatch, budget=3, restarts=4)
+        # the start, then (2, 1) and (3, 1); the sweep stops at (1, 2)
+        assert evaluated == [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0)]
+        assert result.evaluations_used == 3 and result.incomplete is True
+
+    def test_restart_finds_a_better_basin_and_descends(self, demo_engine, monkeypatch):
+        # seed 8 draws (2, 2) first; the descent from there reaches (3, 3)
+        result, evaluated, best = self.run(demo_engine, monkeypatch, budget=50, restarts=1,
+                                           seed=8)
+        assert evaluated[5] == (2.0, 2.0)
+        assert best == (3.0, 3.0) and result.best_objective == self.value(3.0, 3.0)
+        assert result.incomplete is False
+
+    def test_budget_runs_out_inside_the_restarts(self, demo_engine, monkeypatch):
+        # one evaluation after the first descent: the restart, then nothing
+        result, evaluated, best = self.run(demo_engine, monkeypatch, budget=6, restarts=9,
+                                           seed=8)
+        assert evaluated[5:] == [(2.0, 2.0)] and result.evaluations_used == 6
+        assert best == (2.0, 2.0)
+        # the first sweep did finish
+        assert result.incomplete is False
+
